@@ -1,6 +1,6 @@
 """trikernel benchmark: one workload per invocation, one result line.
 
-    python3 perfbench/run.py --workload corpus_allk --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload corpus_allk --seed 1 --seconds 30 --trace 0
 
 Run it from the root of a checkout.  It imports trikernel from ``src/`` of
 that checkout, never from an installed copy, and exits with code 2 when
@@ -8,10 +8,11 @@ there is none.  Load is a closed loop from this one process: the next op
 starts when the previous one has returned.
 
 A run builds the workload's inputs from ``--seed`` and warms up (set-up),
-then repeats whole passes over the seeded op list until ``--seconds`` have
-elapsed and at least ``MIN_OPS`` ops are done.  Every pass must produce the
-same behaviour digest.  Times are scaled to a reference machine speed by
-``speed.SpeedProbe``; the unscaled figures are printed beside them.
+then repeats whole passes over the seeded op list, at least two, until
+``--seconds`` have elapsed and at least ``MIN_OPS`` ops are done.  Every
+pass must produce the same behaviour digest.  Times are scaled to a
+reference machine speed by ``speed.SpeedProbe``; the unscaled figures are
+printed beside them.
 ``--trace 1`` adds one traced pass after the untraced ones and reports
 per-layer metrics instead of end-to-end ones.  Human-readable lines go
 first; the last line of standard output is the JSON result.  Full results,
@@ -185,22 +186,22 @@ class Runner:
 
 
 def _untraced(runner: Runner, ops, seconds: float, min_ops: int) -> list[Pass]:
-    """Whole passes until at least ``min_ops`` ops are done and the run is as
-    close to ``seconds`` long as whole passes allow."""
+    """Whole passes, at least two so that their digests can be compared, until
+    at least ``min_ops`` ops are done and the run is as close to ``seconds``
+    long as whole passes allow."""
     passes: list[Pass] = []
     start = time.perf_counter()
     while True:
         passes.append(runner.run_pass(ops))
         elapsed = time.perf_counter() - start
-        if (len(ops) * len(passes) >= min_ops
+        if (len(passes) >= 2 and len(ops) * len(passes) >= min_ops
                 and elapsed + elapsed / len(passes) / 2 >= seconds):
             return passes
 
 
 def _traced(runner: Runner, ops):
-    from trikernel.oracle import OracleBudgetError
-    tracer = Tracer(OracleBudgetError)
-    tracer.install("trikernel")
+    tracer = Tracer()
+    tracer.install()
     try:
         runner.build()  # one traced input build, for the gen.generate layer
         traced = runner.run_pass(ops, call=tracer.run_op)
@@ -298,6 +299,7 @@ def main(argv=None) -> int:
     result = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
               "machine": _machine(), "digest": digest, "ops_per_pass": len(ops),
               "passes": len(passes), "samples": samples,
+              "pass_op_s": [sum(p.scaled) for p in passes],
               "unscaled": {k: v for k, (v, _u) in raw.items()}}
     print("unscaled: " + ", ".join(f"{k} {v:.6g} {u}" for k, (v, u) in raw.items()))
     if args.trace:

@@ -4,7 +4,7 @@ On a shared machine the speed of one core drifts by a quarter or more over
 tens of seconds, and all Python code slows down together.  The probe times a
 fixed piece of pure-Python work (triangle listing over a fixed dict-of-sets
 graph, the same kind of work trikernel does) between ops, at most every
-``every`` seconds.  A time ``t`` measured while the probe takes ``p`` seconds
+``EVERY_S`` seconds.  A time ``t`` measured while the probe takes ``p`` seconds
 is reported as ``t * REFERENCE_S / p``: the time it would take on a machine
 where the probe takes ``REFERENCE_S``.  The probe is part of the benchmark,
 never of trikernel, so a change to the package cannot move it.
@@ -18,6 +18,7 @@ import statistics
 import time
 
 REFERENCE_S = 0.004   # probe time at reference speed
+EVERY_S = 0.05        # least time between two probes
 WINDOW_S = 0.25       # probes this close to an op set its scale
 MIN_PROBES = 3
 
@@ -50,9 +51,8 @@ def _reference_work(adj: dict[int, set[int]]) -> int:
 class SpeedProbe:
     """Samples machine speed between ops and rescales op times with it."""
 
-    def __init__(self, every: float = 0.05) -> None:
+    def __init__(self) -> None:
         self._adj = _reference_graph()
-        self._every = every
         self._last = float("-inf")
         self.starts: list[float] = []
         self.durations: list[float] = []
@@ -67,8 +67,8 @@ class SpeedProbe:
         return end - start
 
     def tick(self) -> None:
-        """Probe if the last probe is more than ``every`` seconds old."""
-        if time.perf_counter() - self._last >= self._every:
+        """Probe if the last probe is more than EVERY_S seconds old."""
+        if time.perf_counter() - self._last >= EVERY_S:
             self.probe()
 
     def scale(self, start: float, end: float) -> float:

@@ -47,12 +47,11 @@ def test_missing_hook_target_is_reported_unobserved(monkeypatch):
     try:
         from tracing import LayerStats, Tracer
         from trikernel import gen
-        from trikernel.oracle import OracleBudgetError
     finally:
         del sys.path[:2]
     monkeypatch.delattr(gen, "generate")
-    tracer = Tracer(OracleBudgetError)
-    tracer.install("trikernel")
+    tracer = Tracer()
+    tracer.install()
     tracer.uninstall()
     assert "gen.generate" in tracer.unobserved
     assert LayerStats(tracer, {}).calls["gen.generate"] == 0

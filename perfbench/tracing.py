@@ -18,7 +18,7 @@ import json
 import time
 from collections import defaultdict
 
-# (module the call is looked up in, attribute, layer name, record hit?).
+# (trikernel module the call is looked up in, attribute, layer name, record hit?).
 # One layer may be observed through several modules.
 HOOKS = (
     ("rules", "kernelize", "rules.kernelize", False),
@@ -54,7 +54,7 @@ DONE, HIT, RAISED, REFUSED = 0, 1, 2, 3
 class Tracer:
     """Collects spans as ``[layer, op, parent, start, end, status]`` rows."""
 
-    def __init__(self, refusal: type[BaseException]) -> None:
+    def __init__(self) -> None:
         self.layers: list[str] = [OP]
         self._layer_ids: dict[str, int] = {OP: 0}
         self.spans: list[list] = []
@@ -62,7 +62,6 @@ class Tracer:
         self.unobserved: list[str] = []
         self._stack: list[int] = []
         self._installed: list[tuple[object, str, object]] = []
-        self._refusal = refusal
 
     def layer_id(self, name: str) -> int:
         if name not in self._layer_ids:
@@ -84,8 +83,8 @@ class Tracer:
         self._stack.pop()
 
     def wrap(self, fn, layer_name: str, record_hit: bool):
+        from trikernel.oracle import OracleBudgetError
         layer = self.layer_id(layer_name)
-        refusal = self._refusal
 
         def traced(*args, **kwargs):
             idx = self._open(layer)
@@ -94,7 +93,7 @@ class Tracer:
                 result = fn(*args, **kwargs)
                 status = HIT if record_hit and result is not None else DONE
                 return result
-            except refusal:
+            except OracleBudgetError:
                 status = REFUSED
                 raise
             finally:
@@ -112,11 +111,11 @@ class Tracer:
             self._close(idx, DONE)
             self.op = SETUP_OP
 
-    def install(self, package: str) -> None:
+    def install(self) -> None:
         for modname, attr, layer_name, record_hit in HOOKS:
             self.layer_id(layer_name)
             try:
-                module = importlib.import_module(f"{package}.{modname}")
+                module = importlib.import_module(f"trikernel.{modname}")
             except ImportError:
                 self.unobserved.append(f"{modname}.{attr}")
                 continue
