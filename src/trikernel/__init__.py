@@ -12,14 +12,14 @@ from .gen import GenSpec, generate
 from .graph import Graph, GraphError, Instance, ParseError, Variant, load_graph
 from .oracle import OracleBudgetError, OracleResult, decide, solve_etc_exact, solve_etp_exact
 from .packing import TrianglePacking, greedy_maximal_packing
-from .rules import KernelOutcome, RuleEvent, kernelize, lift_solution
+from .rules import KernelOutcome, RuleEvent, finish, kernelize, lift_solution
 
 __all__ = [
     "AuditReport", "audit_instance", "GenSpec", "generate", "Graph",
     "GraphError", "Instance", "ParseError", "Variant", "load_graph",
     "OracleBudgetError", "OracleResult", "decide", "solve_etc_exact",
     "solve_etp_exact", "TrianglePacking", "greedy_maximal_packing",
-    "KernelOutcome", "RuleEvent", "kernelize", "lift_solution",
+    "KernelOutcome", "RuleEvent", "finish", "kernelize", "lift_solution",
 ]
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .graph import (
 from .oracle import OracleBudgetError, solve_etc_exact, solve_etp_exact
 from .rules import (
     KernelOutcome,
+    finish,
     is_valid_cover_solution,
     is_valid_packing_solution,
     kernelize,
@@ -119,35 +120,11 @@ def cmd_kernelize(args) -> int:
     return EXIT_OK
 
 
-def _solve_reduced(outcome: KernelOutcome, variant: Variant):
-    """Decision plus a reduced-instance witness, after kernelization."""
-    if outcome.verdict in ("yes", "no"):
-        if outcome.verdict == "no":
-            return False, None
-        if variant is Variant.ETP and outcome.verdict_rule == "R5":
-            return True, list(outcome.packing.triangles)
-        return True, []
-    red = outcome.instance
-    if variant is Variant.ETP:
-        if red.k <= 0:
-            return True, []
-        res = solve_etp_exact(red.graph, limit=red.k)
-        if res.optimum >= red.k:
-            return True, res.witness
-        return False, None
-    if red.k < 0:
-        return False, None
-    res = solve_etc_exact(red.graph, limit=red.k)
-    if res.optimum <= red.k:
-        return True, res.witness
-    return False, None
-
-
 def cmd_solve(args) -> int:
     inst = _read_instance(args)
     outcome = kernelize(inst)
     try:
-        answer, reduced_witness = _solve_reduced(outcome, inst.variant)
+        answer, reduced_witness = finish(outcome, inst.variant)
     except OracleBudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     if not answer:
@@ -170,9 +147,7 @@ def cmd_solve(args) -> int:
 
 
 def _decision_via_kernel(inst: Instance) -> bool:
-    outcome = kernelize(inst)
-    answer, _ = _solve_reduced(outcome, inst.variant)
-    return answer
+    return finish(kernelize(inst), inst.variant)[0]
 
 
 def _verify_one(payload: tuple[dict, int]) -> dict:

@@ -24,15 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import (
-    Edge,
-    Graph,
-    GraphError,
-    Instance,
-    edge_key,
-    spanned_edges,
-    triangle_key,
-)
+from .graph import Edge, Graph, GraphError, edge_key, spanned_edges
 
 
 @dataclass
@@ -126,9 +118,6 @@ class FatHeadCrown:
     head: set[Edge]           # H
     rest: set[int]            # X = V minus C
     witness: list[tuple[int, Edge]]  # P: (crown vertex, head edge) pairs
-
-    def witness_triangles(self) -> list:
-        return sorted(triangle_key(c, *e) for c, e in self.witness)
 
 
 def _assemble(b: SpanBipartiteGraph, crown: set[int],
@@ -243,14 +232,3 @@ def verify_crown(g: Graph, fc: FatHeadCrown) -> bool:
             return False
     return True
 
-
-def apply_crown(inst: Instance, fc: FatHeadCrown) -> Instance:
-    """Delete the crown vertices and head edges; decrease k by ``|H|``."""
-    if not verify_crown(inst.graph, fc):
-        raise GraphError("refusing to apply an unverified crown")
-    g = inst.graph.copy()
-    for c in sorted(fc.crown):
-        g.remove_vertex(c)
-    for e in sorted(fc.head):
-        g.remove_edge(*e)
-    return Instance(g, inst.k - len(fc.head), inst.variant)

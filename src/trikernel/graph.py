@@ -208,24 +208,8 @@ class Instance:
     k: int
     variant: Variant
 
-    def copy(self) -> "Instance":
-        return Instance(self.graph.copy(), self.k, self.variant)
-
 
 # -- span queries ------------------------------------------------------------
-
-
-def spans(g: Graph, v: int, e: Edge) -> bool:
-    """True iff ``v`` together with edge ``e`` forms a triangle."""
-    u, w = edge_key(*e)
-    if not g.has_vertex(v):
-        raise GraphError(f"no vertex {v}")
-    if not g.has_edge(u, w):
-        raise GraphError(f"no edge {e}")
-    if v in (u, w):
-        raise GraphError(f"vertex {v} is an endpoint of {e}")
-    nbrs = g.adj[v]
-    return u in nbrs and w in nbrs
 
 
 def spanned_edges(g: Graph, v: int) -> list[Edge]:
@@ -254,21 +238,6 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
     return out
 
 
-def triangles_through_edge(g: Graph, e: Edge) -> list[Triangle]:
-    u, v = edge_key(*e)
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge {e}")
-    return [triangle_key(u, v, w) for w in sorted(g.common_neighbors(u, v))]
-
-
-def split_vertex(g: Graph, v: int, part1: Iterable[Edge],
-                 part2: Iterable[Edge]) -> tuple[Graph, int, int]:
-    """Pure version of :meth:`Graph.split`: returns a new graph plus minted ids."""
-    out = g.copy()
-    v1, v2 = out.split(v, part1, part2)
-    return out, v1, v2
-
-
 # -- parsing / serialization -------------------------------------------------
 
 
@@ -276,14 +245,18 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
     """Parse ``text`` as an edge list or a DIMACS-like description.
 
     Edge list: one ``u v`` pair per line, whitespace separated, ``#`` starts a
-    comment.  DIMACS: a ``p edge n m`` header followed by ``e u v`` lines,
-    ``c`` comments allowed.  Duplicate edges collapse; self-loops are errors.
+    comment, except that a line starting ``# isolated:`` lists vertices with
+    no edges (as :func:`dump_edgelist` writes them).  DIMACS: a ``p edge n m``
+    header followed by ``e u v`` lines, ``c`` comments allowed.  Duplicate edges collapse; self-loops are errors.
     """
     if fmt == "edgelist":
         return _load_edgelist(text)
     if fmt == "dimacs":
         return _load_dimacs(text)
     raise ValueError(f"unknown graph format {fmt!r}")
+
+
+_ISOLATED = "# isolated:"
 
 
 def _parse_int(token: str, lineno: int) -> int:
@@ -299,6 +272,10 @@ def _parse_int(token: str, lineno: int) -> int:
 def _load_edgelist(text: str) -> Graph:
     g = Graph()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith(_ISOLATED):
+            for token in raw[len(_ISOLATED):].split():
+                g.add_vertex(_parse_int(token, lineno))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -347,9 +324,10 @@ def _load_dimacs(text: str) -> Graph:
 
 
 def dump_edgelist(g: Graph) -> str:
-    """Serialize; isolated vertices ride along as comments so nothing is lost."""
+    """Serialize; isolated vertices ride along on an ``# isolated:`` line,
+    which other readers skip as a comment and :func:`load_graph` restores."""
     lines = [f"{u} {v}" for u, v in g.edges()]
     isolated = [v for v in g.vertices() if not g.adj[v]]
     if isolated:
-        lines.append("# isolated: " + " ".join(str(v) for v in isolated))
+        lines.append(_ISOLATED + " " + " ".join(str(v) for v in isolated))
     return "\n".join(lines) + ("\n" if lines else "")

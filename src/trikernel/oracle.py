@@ -3,7 +3,9 @@
 Both solvers run branch-and-bound over the enumerated triangle list with
 edges packed into bitmasks; no external solver is involved, and results are
 deterministic.  They exist to ground-truth the reduction rules, so they
-refuse (rather than approximate) anything over their size budget.
+refuse (rather than approximate) an instance over their size budget: one
+with more than ``MAX_VERTICES`` vertices *and* more than ``MAX_TRIANGLES``
+triangles.  An instance within either limit is always searched.
 
 ``limit`` trades exactness above a threshold for speed: a packing search may
 stop once it holds more than ``limit`` triangles, and a covering search only
@@ -218,17 +220,21 @@ def _or_all(bits: list[int]) -> int:
     return out
 
 
-def decide(inst: Instance, *, budget: bool = True) -> bool:
-    """Exact decision for the instance (uses capped solves internally)."""
+def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:
+    """Exact decision plus a yes-witness (triangles or edges), else ``None``.
+
+    The one place that answers ``k <= 0`` packing and ``k < 0`` covering
+    without a search and otherwise runs a capped solve (``limit=k``).
+    """
     if inst.variant is Variant.ETP:
         if inst.k <= 0:
-            return True
+            return True, []
         res = solve_etp_exact(inst.graph, limit=inst.k, budget=budget)
-        return res.optimum >= inst.k
+        return (True, res.witness) if res.optimum >= inst.k else (False, None)
     if inst.k < 0:
-        return False
+        return False, None
     res = solve_etc_exact(inst.graph, limit=inst.k, budget=budget)
-    return res.optimum <= inst.k
+    return (True, res.witness) if res.optimum <= inst.k else (False, None)
 
 
 def _assert_valid_packing(g: Graph, triangles: list[Triangle], count: int) -> None:

@@ -7,9 +7,14 @@ without touching the graph, and Rule 9 shrinks the graph through a fat-head
 crown.  The packing is rebuilt from scratch whenever the graph changes and is
 re-maximalized after every packing rewrite.
 
-Every graph mutation is recorded as a :class:`RuleEvent`; replaying a trace
-against the original graph reproduces the reduced graph exactly, and playing
-it backwards lifts a solution of the reduced instance to the original one.
+Rules 1 and 5 end the run with a verdict.  Every other application is a
+:class:`RuleEvent`: :func:`rule_event` builds it from the rule's finder, and
+:func:`apply_event` is the single mutator that performs it, on the graph
+(R2-R4, R9) or on the working packing (R6-R8).  The driver and replay share
+that mutator: :func:`replay_trace` is a fold of ``apply_event`` over the
+original graph, so it reproduces the reduced graph exactly, and playing the
+trace backwards lifts a solution of the reduced instance to the original
+one.  :func:`finish` completes an outcome with the exact oracle.
 """
 
 from __future__ import annotations
@@ -31,9 +36,19 @@ from .graph import (
     triangle_edges,
     triangle_key,
 )
+from .oracle import decide
 from .packing import TrianglePacking, greedy_maximal_packing, labeled_edges, remaximalize
 
 RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
+SWAP_RULES = ("R6", "R7", "R8")
+
+# The serialized fields each event rule cannot do without.
+_EVENT_FIELDS = {
+    "R2": (), "R3": ("quad", "removed_edges"), "R4": ("split",),
+    "R6": ("packing_removed", "packing_added"),
+    "R7": ("packing_removed", "packing_added"),
+    "R8": ("packing_removed", "packing_added"), "R9": ("crown",),
+}
 
 
 @dataclass
@@ -83,19 +98,27 @@ class RuleEvent:
 
     @classmethod
     def from_json(cls, data: dict) -> "RuleEvent":
-        ev = cls(rule=data["rule"], k_delta=data.get("k_delta", 0))
+        if not isinstance(data, dict):
+            raise ValueError("an event is a JSON object")
+        rule = data.get("rule")
+        if rule not in _EVENT_FIELDS:
+            raise ValueError(f"unknown rule {rule!r}")
+        missing = [f for f in _EVENT_FIELDS[rule] if f not in data]
+        if missing:
+            raise ValueError(f"{rule} event lacks {', '.join(missing)}")
+        ev = cls(rule=rule, k_delta=data.get("k_delta", 0))
         ev.removed_vertices = list(data.get("removed_vertices", []))
         ev.removed_edges = [tuple(e) for e in data.get("removed_edges", [])]
-        split = data.get("split")
-        if split:
+        if "split" in data:
+            split = data["split"]
             ev.split_vertex = split["vertex"]
             ev.split_part1 = [tuple(e) for e in split["part1"]]
             ev.split_part2 = [tuple(e) for e in split["part2"]]
             ev.split_minted = tuple(split["minted"])  # type: ignore[assignment]
         if "quad" in data:
             ev.quad = tuple(data["quad"])  # type: ignore[assignment]
-        crowndata = data.get("crown")
-        if crowndata:
+        if "crown" in data:
+            crowndata = data["crown"]
             ev.crown_vertices = list(crowndata["vertices"])
             ev.head_edges = [tuple(e) for e in crowndata["head"]]
             ev.crown_witness = [(c, tuple(e)) for c, e in crowndata["witness"]]
@@ -109,7 +132,19 @@ def trace_to_json(trace: Sequence[RuleEvent]) -> str:
 
 
 def trace_from_json(text: str) -> list[RuleEvent]:
-    return [RuleEvent.from_json(item) for item in json.loads(text)["events"]]
+    """Parse a trace; a malformed one raises ``ValueError`` naming the event."""
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("events"), list):
+        raise ValueError("a trace is a JSON object with an 'events' list")
+    trace = []
+    for i, item in enumerate(data["events"]):
+        try:
+            trace.append(RuleEvent.from_json(item))
+        except KeyError as exc:
+            raise ValueError(f"trace event {i}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"trace event {i}: {exc}") from None
+    return trace
 
 
 @dataclass
@@ -388,98 +423,97 @@ def find_crown(g: Graph, s: TrianglePacking,
     return extract_crown(bip, max_matching(bip))
 
 
-# -- public single-application rule operations -------------------------------
+# -- rule events: one builder, one mutator ------------------------------------
 
 
-def rule_terminal(inst: Instance) -> str | None:
-    return terminal_verdict(inst.graph, inst.k, inst.variant)
-
-
-def rule_prune(inst: Instance) -> Instance | None:
-    found = find_prunable(inst.graph)
-    if found is None:
-        return None
-    out = inst.copy()
-    verts, edges = found
-    for v in verts:
-        out.graph.remove_vertex(v)
-    for e in edges:
-        out.graph.remove_edge(*e)
-    return out
-
-
-def rule_k4(inst: Instance) -> Instance | None:
-    quad = find_exclusive_k4(inst.graph)
-    if quad is None:
-        return None
-    out = inst.copy()
-    for a, b in combinations(quad, 2):
-        out.graph.remove_edge(a, b)
-    out.k -= 1 if inst.variant is Variant.ETP else 2
-    return out
-
-
-def rule_split(inst: Instance) -> Instance | None:
-    found = find_splittable(inst.graph)
-    if found is None:
-        return None
-    v, part1, part2 = found
-    out = inst.copy()
-    out.graph.split(v, part1, part2)
-    return out
-
-
-def rule_threshold(inst: Instance, s: TrianglePacking) -> str | None:
-    if len(s) > inst.k:
-        return "yes" if inst.variant is Variant.ETP else "no"
+def threshold_verdict(s: TrianglePacking, k: int, variant: Variant) -> str | None:
+    """Rule 5.  More than ``k`` edge-disjoint triangles are already packed."""
+    if len(s) > k:
+        return "yes" if variant is Variant.ETP else "no"
     return None
 
 
-def _swap(s: TrianglePacking, removed: Sequence[Triangle],
-          added: Sequence[Triangle]) -> TrianglePacking:
-    out = s.copy()
-    for t in removed:
-        out.remove(t)
-    for t in added:
-        out.add(t)
-    return out
+def rule_event(rule: str, g: Graph, variant: Variant,
+               s: TrianglePacking | None = None,
+               spanners: dict[Edge, list[int]] | None = None) -> RuleEvent | None:
+    """The event of one application of ``rule`` to the current state, or None.
+
+    Rules 2-4 read only ``g``; Rules 6-9 also read the working packing ``s``,
+    and Rules 6-8 reuse ``spanners`` when the caller has them.  Only
+    ``variant`` is needed to size Rule 3's ``k_delta``.  The finders are
+    looked up as module globals at call time, so replacing one on the module
+    changes what every caller sees.
+    """
+    if rule == "R2":
+        found = find_prunable(g)
+        if found is not None:
+            verts, edges = found
+            return RuleEvent("R2", removed_vertices=verts, removed_edges=edges)
+    elif rule == "R3":
+        quad = find_exclusive_k4(g)
+        if quad is not None:
+            return RuleEvent("R3", k_delta=-1 if variant is Variant.ETP else -2,
+                             quad=quad, removed_edges=[edge_key(a, b) for a, b
+                                                       in combinations(quad, 2)])
+    elif rule == "R4":
+        found = find_splittable(g)
+        if found is not None:
+            v, part1, part2 = found
+            return RuleEvent("R4", split_vertex=v, split_part1=part1,
+                             split_part2=part2)
+    elif rule == "R6":
+        found = find_augment_one(g, s, spanners)
+        if found is not None:
+            t, new = found
+            return RuleEvent("R6", packing_removed=[t], packing_added=new)
+    elif rule in ("R7", "R8"):
+        finder = find_augment_two if rule == "R7" else find_revertex
+        found = finder(g, s, spanners)
+        if found is not None:
+            t1, t2, new = found
+            return RuleEvent(rule, packing_removed=[t1, t2], packing_added=new)
+    elif rule == "R9":
+        fc = find_crown(g, s, labeled_edges(g, s))
+        if fc is not None:
+            head = sorted(fc.head)
+            return RuleEvent("R9", k_delta=-len(head),
+                             crown_vertices=sorted(fc.crown), head_edges=head,
+                             crown_witness=sorted(fc.witness))
+    else:
+        raise ValueError(f"{rule} yields a verdict, not an event")
+    return None
 
 
-def rule_augment_one(inst: Instance, s: TrianglePacking) -> TrianglePacking | None:
-    found = find_augment_one(inst.graph, s)
-    if found is None:
-        return None
-    t, new = found
-    return _swap(s, [t], new)
+def apply_event(g: Graph, ev: RuleEvent, s: TrianglePacking | None = None) -> None:
+    """Perform ``ev`` in place: the only code that applies a rule's effect.
 
-
-def rule_augment_two(inst: Instance, s: TrianglePacking) -> TrianglePacking | None:
-    found = find_augment_two(inst.graph, s)
-    if found is None:
-        return None
-    t1, t2, new = found
-    return _swap(s, [t1, t2], new)
-
-
-def rule_revertex(inst: Instance, s: TrianglePacking) -> TrianglePacking | None:
-    found = find_revertex(inst.graph, s)
-    if found is None:
-        return None
-    t1, t2, new = found
-    return _swap(s, [t1, t2], new)
-
-
-def rule_crown_reduce(inst: Instance, s: TrianglePacking) -> Instance | None:
-    fc = find_crown(inst.graph, s, labeled_edges(inst.graph, s))
-    if fc is None:
-        return None
-    out = inst.copy()
-    for c in sorted(fc.crown):
-        out.graph.remove_vertex(c)
-    for e in sorted(fc.head):
-        out.graph.remove_edge(*e)
-    out.k -= len(fc.head)
-    return out
+    Graph events (R2-R4, R9) change ``g``; packing events (R6-R8) swap
+    triangles in ``s`` and leave ``g`` alone (without ``s`` they do nothing,
+    which is how replay treats them).  The caller moves ``k`` by
+    ``ev.k_delta``.  A split records the ids it mints on a fresh event and
+    must mint the recorded ids when the event is replayed.
+    """
+    if ev.rule in ("R2", "R3"):
+        for v in ev.removed_vertices:
+            g.remove_vertex(v)
+        for e in ev.removed_edges:
+            g.remove_edge(*e)
+    elif ev.rule == "R4":
+        minted = g.split(ev.split_vertex, ev.split_part1, ev.split_part2)
+        if ev.split_minted is None:
+            ev.split_minted = minted
+        elif minted != tuple(ev.split_minted):
+            raise GraphError(f"replay minted {minted}, trace says {ev.split_minted}")
+    elif ev.rule == "R9":
+        for v in ev.crown_vertices:
+            g.remove_vertex(v)
+        for e in ev.head_edges:
+            g.remove_edge(*e)
+    elif s is not None:
+        for t in ev.packing_removed:
+            s.remove(t)
+        for t in ev.packing_added:
+            s.add(t)
 
 
 # -- the fixpoint driver ------------------------------------------------------
@@ -500,144 +534,71 @@ def kernelize(inst: Instance) -> KernelOutcome:
             counters["R1"] += 1
             return KernelOutcome(verdict, None, s, trace, counters, "R1")
 
+        ev = None
         if not structure_clean:
-            pruned = find_prunable(g)
-            if pruned is not None:
-                verts, edges = pruned
-                for v in verts:
-                    g.remove_vertex(v)
-                for e in edges:
-                    g.remove_edge(*e)
-                counters["R2"] += 1
-                trace.append(RuleEvent("R2", removed_vertices=verts,
-                                       removed_edges=edges))
-                s = None
-                continue
+            ev = (rule_event("R2", g, variant) or rule_event("R3", g, variant)
+                  or rule_event("R4", g, variant))
+            structure_clean = ev is None
 
-            quad = find_exclusive_k4(g)
-            if quad is not None:
-                removed = [edge_key(a, b) for a, b in combinations(quad, 2)]
-                for e in removed:
-                    g.remove_edge(*e)
-                delta = -1 if variant is Variant.ETP else -2
-                k += delta
-                counters["R3"] += 1
-                trace.append(RuleEvent("R3", k_delta=delta, quad=quad,
-                                       removed_edges=removed))
-                s = None
-                continue
+        if ev is None:
+            if s is None:
+                s = greedy_maximal_packing(g)
+            verdict = threshold_verdict(s, k, variant)
+            if verdict is not None:
+                counters["R5"] += 1
+                return KernelOutcome(verdict, None, s, trace, counters, "R5")
+            spanners = _strict_spanners(g, s)
+            ev = (rule_event("R6", g, variant, s, spanners)
+                  or rule_event("R7", g, variant, s, spanners)
+                  or rule_event("R8", g, variant, s, spanners)
+                  or rule_event("R9", g, variant, s))
+            if ev is None:
+                return KernelOutcome("reduced", Instance(g, k, variant), s,
+                                     trace, counters, None)
 
-            split = find_splittable(g)
-            if split is not None:
-                v, part1, part2 = split
-                minted = g.split(v, part1, part2)
-                counters["R4"] += 1
-                trace.append(RuleEvent("R4", split_vertex=v, split_part1=part1,
-                                       split_part2=part2, split_minted=minted))
-                s = None
-                continue
-
-            structure_clean = True
-
-        if s is None:
-            s = greedy_maximal_packing(g)
-
-        if len(s) > k:
-            counters["R5"] += 1
-            return KernelOutcome("yes" if variant is Variant.ETP else "no",
-                                 None, s, trace, counters, "R5")
-
-        spanners = _strict_spanners(g, s)
-
-        grown = find_augment_one(g, s, spanners)
-        if grown is not None:
-            t, new = grown
-            s.remove(t)
-            for nt in new:
-                s.add(nt)
+        covered = len(s.vertex_set()) if ev.rule == "R8" else 0
+        apply_event(g, ev, s)
+        k += ev.k_delta
+        if ev.rule in SWAP_RULES:
             remaximalize(g, s)
             s.validate(g)
-            counters["R6"] += 1
-            trace.append(RuleEvent("R6", packing_removed=[t], packing_added=new))
-            continue
-
-        grown2 = find_augment_two(g, s, spanners)
-        if grown2 is not None:
-            t1, t2, new = grown2
-            s.remove(t1)
-            s.remove(t2)
-            for nt in new:
-                s.add(nt)
-            remaximalize(g, s)
-            s.validate(g)
-            counters["R7"] += 1
-            trace.append(RuleEvent("R7", packing_removed=[t1, t2],
-                                   packing_added=new))
-            continue
-
-        swap = find_revertex(g, s, spanners)
-        if swap is not None:
-            t1, t2, new = swap
-            before = len(s.vertex_set())
-            s.remove(t1)
-            s.remove(t2)
-            for nt in new:
-                s.add(nt)
-            remaximalize(g, s)
-            s.validate(g)
-            if len(s.vertex_set()) <= before:
+            if ev.rule == "R8" and len(s.vertex_set()) <= covered:
                 raise GraphError("packing vertex count did not grow")
-            counters["R8"] += 1
-            trace.append(RuleEvent("R8", packing_removed=[t1, t2],
-                                   packing_added=new))
-            continue
-
-        fc = find_crown(g, s, labeled_edges(g, s))
-        if fc is not None:
-            verts = sorted(fc.crown)
-            head = sorted(fc.head)
-            for v in verts:
-                g.remove_vertex(v)
-            for e in head:
-                g.remove_edge(*e)
-            k -= len(head)
-            counters["R9"] += 1
-            trace.append(RuleEvent("R9", k_delta=-len(head),
-                                   crown_vertices=verts, head_edges=head,
-                                   crown_witness=sorted(fc.witness)))
+        else:
             s = None
             structure_clean = False
-            continue
-
-        return KernelOutcome("reduced", Instance(g, k, variant), s, trace,
-                             counters, None)
+        counters[ev.rule] += 1
+        trace.append(ev)
 
 
 # -- trace replay -------------------------------------------------------------
 
 
 def replay_trace(g: Graph, trace: Sequence[RuleEvent]) -> Graph:
-    """Re-apply the recorded graph mutations; packing rewrites are no-ops."""
+    """Fold :func:`apply_event` over ``trace`` on a copy of ``g``."""
     out = g.copy()
     for ev in trace:
-        if ev.rule == "R2":
-            for v in ev.removed_vertices:
-                out.remove_vertex(v)
-            for e in ev.removed_edges:
-                out.remove_edge(*e)
-        elif ev.rule == "R3":
-            for e in ev.removed_edges:
-                out.remove_edge(*e)
-        elif ev.rule == "R4":
-            minted = out.split(ev.split_vertex, ev.split_part1, ev.split_part2)
-            if minted != tuple(ev.split_minted):
-                raise GraphError(f"replay minted {minted}, trace says {ev.split_minted}")
-        elif ev.rule == "R9":
-            for v in ev.crown_vertices:
-                out.remove_vertex(v)
-            for e in ev.head_edges:
-                out.remove_edge(*e)
+        apply_event(out, ev)
     return out
+
+
+# -- finishing with the oracle ------------------------------------------------
+
+
+def finish(outcome: KernelOutcome, variant: Variant, *,
+           budget: bool = True) -> tuple[bool, list | None]:
+    """The decision and a witness on the kernel, ready for lifting.
+
+    An R1 or R5 verdict answers directly; an R5 packing verdict's witness is
+    the working packing.  A reduced instance goes to :func:`oracle.decide`.
+    """
+    if outcome.verdict == "no":
+        return False, None
+    if outcome.verdict == "yes":
+        if variant is Variant.ETP and outcome.verdict_rule == "R5":
+            return True, list(outcome.packing.triangles)
+        return True, []
+    return decide(outcome.instance, budget=budget)
 
 
 # -- solution lifting ---------------------------------------------------------

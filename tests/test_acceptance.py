@@ -20,6 +20,7 @@ from trikernel.gen import GenSpec, corpus_specs, generate
 from trikernel.graph import Graph, Instance, Variant
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
 from trikernel.rules import (
+    finish,
     is_valid_cover_solution,
     is_valid_packing_solution,
     kernelize,
@@ -120,13 +121,12 @@ def oracle_sweep():
         etc = solve_etc_exact(g, limit=g.n, budget=False)
         if etc.optimum < min(etp.optimum, g.n + 1):
             data["duality_failures"].append((spec, etp.optimum, etc.optimum))
-        reduced_cache: dict = {}
         for k in range(g.n + 1):
             for variant in (Variant.ETP, Variant.ETC):
                 truth = (etp.optimum >= k if variant is Variant.ETP
                          else etc.optimum <= k)
                 out = kernelize(Instance(g.copy(), k, variant))
-                got, witness_base = _finish(out, variant, reduced_cache)
+                got, witness_base = finish(out, variant, budget=False)
                 data["decisions"] += 1
                 if got != truth:
                     data["mismatches"].append((spec, k, variant.value,
@@ -142,31 +142,6 @@ def oracle_sweep():
                     if not valid:
                         data["lift_failures"].append((spec, k, variant.value))
     return data
-
-
-def _finish(out, variant, cache):
-    """Complete a kernelization with the oracle; returns (decision, witness)."""
-    if out.verdict in ("yes", "no"):
-        if out.verdict == "no":
-            return False, None
-        if variant is Variant.ETP and out.verdict_rule == "R5":
-            return True, list(out.packing.triangles)
-        return True, []
-    red = out.instance
-    key = (tuple(red.graph.edges()), tuple(red.graph.vertices()), variant)
-    if key not in cache:
-        solver = solve_etp_exact if variant is Variant.ETP else solve_etc_exact
-        cache[key] = solver(red.graph, budget=False)  # exact: kernels are small
-    res = cache[key]
-    if variant is Variant.ETP:
-        if red.k <= 0:
-            return True, []
-        return (res.optimum >= red.k,
-                res.witness if res.optimum >= red.k else None)
-    if red.k < 0:
-        return False, None
-    return (res.optimum <= red.k,
-            res.witness if res.optimum <= red.k else None)
 
 
 def _graph_key(g: Graph):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from trikernel.crown import (
     FatHeadCrown,
-    apply_crown,
     build_span_bipartite,
     extract_crown,
     max_matching,
@@ -14,6 +13,7 @@ from trikernel.crown import (
 )
 from trikernel.graph import Graph, GraphError, Instance, Variant
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
+from trikernel.rules import RuleEvent, apply_event
 
 from conftest import spanned_triangle
 
@@ -222,6 +222,16 @@ class TestVerifyCrown:
         assert not verify_crown(g, FatHeadCrown({5}, set(), {0, 1}, []))
 
 
+def apply_crown_event(inst: Instance, fc: FatHeadCrown) -> Instance:
+    """Rule 9's mutation of ``fc`` on a copy, through the rule engine."""
+    head = sorted(fc.head)
+    ev = RuleEvent("R9", k_delta=-len(head), crown_vertices=sorted(fc.crown),
+                   head_edges=head, crown_witness=sorted(fc.witness))
+    g = inst.graph.copy()
+    apply_event(g, ev)
+    return Instance(g, inst.k + ev.k_delta, inst.variant)
+
+
 class TestApplyCrown:
     def test_decision_preserved_for_both_problems(self):
         g = spanned_triangle(2)
@@ -230,7 +240,7 @@ class TestApplyCrown:
         for variant in (Variant.ETP, Variant.ETC):
             for k in range(0, 4):
                 inst = Instance(g.copy(), k, variant)
-                red = apply_crown(inst, fc)
+                red = apply_crown_event(inst, fc)
                 assert red.k == k - 1
                 assert not red.graph.has_edge(0, 1)
                 assert fc.crown.isdisjoint(red.graph.vertex_set())
@@ -240,19 +250,10 @@ class TestApplyCrown:
                 after = solver(red.graph).optimum
                 assert after == before - 1  # decision equal at every k
 
-    def test_unverified_crown_is_refused(self):
-        g = spanned_triangle(2)
-        # claimed head is not the exact span set of the crown
-        fc = FatHeadCrown({3, 4}, {(0, 1), (1, 2)}, {0, 1, 2},
-                          [(3, (0, 1)), (4, (1, 2))])
-        assert not verify_crown(g, fc)
-        with pytest.raises(GraphError):
-            apply_crown(Instance(g, 1, Variant.ETP), fc)
-
     def test_packed_vertex_may_join_the_crown(self):
         # the triangle's own far vertex spans the head edge and is deletable
         g = spanned_triangle(2)
         fc = FatHeadCrown({2, 3, 4}, {(0, 1)}, {0, 1}, [(2, (0, 1))])
         assert verify_crown(g, fc)
-        red = apply_crown(Instance(g, 1, Variant.ETP), fc)
+        red = apply_crown_event(Instance(g, 1, Variant.ETP), fc)
         assert red.k == 0 and red.graph.vertex_set() == {0, 1}

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trikernel.graph import (
     Graph,
@@ -11,13 +12,10 @@ from trikernel.graph import (
     enumerate_triangles,
     load_graph,
     spanned_edges,
-    spans,
-    split_vertex,
     triangle_key,
-    triangles_through_edge,
 )
 
-from conftest import complete_graph, cycle_graph, graphs, petersen_graph
+from conftest import complete_graph, graphs, petersen_graph
 
 
 def brute_force_triangles(g: Graph):
@@ -50,6 +48,9 @@ class TestLoadGraph:
     def test_comments_and_blank_lines(self):
         g = load_graph("# header\n1 2  # inline\n\n2 3\n")
         assert g.m == 2
+        # only a line that starts with '# isolated:' adds vertices
+        g = load_graph("# isolated 7\n#isolated: 8\n0 1  # isolated: 9\n")
+        assert g.vertices() == [0, 1]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as err:
@@ -80,6 +81,15 @@ class TestLoadGraph:
         g.add_vertex(99)
         again = load_graph(dump_edgelist(g))
         assert again.edges() == g.edges()
+        assert again.vertices() == g.vertices()
+
+    @given(graphs(max_n=8), st.sets(st.integers(0, 40), max_size=4))
+    def test_roundtrip_keeps_isolated_vertices(self, g, extra):
+        for v in extra:
+            g.add_vertex(v)
+        again = load_graph(dump_edgelist(g))
+        assert again.vertices() == g.vertices()
+        assert again.edges() == g.edges()
 
 
 class TestTriangles:
@@ -92,12 +102,6 @@ class TestTriangles:
 
     def test_petersen_is_triangle_free(self):
         assert enumerate_triangles(petersen_graph()) == []
-
-    def test_through_edge(self):
-        k4 = complete_graph(4)
-        assert triangles_through_edge(k4, (0, 1)) == [(0, 1, 2), (0, 1, 3)]
-        assert triangles_through_edge(cycle_graph(5), (0, 1)) == []
-        assert triangles_through_edge(complete_graph(3), (0, 1)) == [(0, 1, 2)]
 
     @given(graphs(max_n=8))
     def test_matches_brute_force(self, g):
@@ -119,20 +123,16 @@ class TestTriangles:
 
 class TestSpans:
     def test_k3_apex(self):
-        assert spans(complete_graph(3), 0, (1, 2)) is True
+        assert (1, 2) in spanned_edges(complete_graph(3), 0)
 
     def test_path_does_not_span(self):
         g = Graph.from_edges([(0, 1), (1, 2), (2, 0)])
         g.remove_edge(0, 2)
         g.add_edge(2, 3)  # path 0-1-2-3 plus nothing else
-        assert spans(g, 0, (1, 2)) is False
+        assert (1, 2) not in spanned_edges(g, 0)
 
     def test_k4(self):
-        assert spans(complete_graph(4), 3, (0, 1)) is True
-
-    def test_endpoint_is_contract_violation(self):
-        with pytest.raises(GraphError):
-            spans(complete_graph(3), 1, (1, 2))
+        assert (0, 1) in spanned_edges(complete_graph(4), 3)
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)
@@ -142,17 +142,23 @@ class TestSpans:
             for v in g.vertices():
                 if v in e:
                     continue
-                assert spans(g, v, e) == (triangle_key(v, *e) in tris)
+                assert (e in spanned_edges(g, v)) == (triangle_key(v, *e) in tris)
 
     def test_spanned_edges(self):
         g = complete_graph(4)
         assert spanned_edges(g, 3) == [(0, 1), (0, 2), (1, 2)]
 
 
+def split_copy(g: Graph, v: int, part1, part2) -> tuple[Graph, int, int]:
+    out = g.copy()
+    v1, v2 = out.split(v, part1, part2)
+    return out, v1, v2
+
+
 class TestSplitVertex:
     def test_bowtie_becomes_two_triangles(self):
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        out, v1, v2 = split_vertex(g, 0, [(0, 1), (0, 2)], [(0, 3), (0, 4)])
+        out, v1, v2 = split_copy(g, 0, [(0, 1), (0, 2)], [(0, 3), (0, 4)])
         assert out.n == 6 and out.m == g.m
         assert sorted(enumerate_triangles(out)) == sorted(
             [triangle_key(v1, 1, 2), triangle_key(v2, 3, 4)])
@@ -161,28 +167,28 @@ class TestSplitVertex:
 
     def test_k3_split_breaks_triangle_but_keeps_edges(self):
         g = complete_graph(3)  # vertices 0,1,2; split 0
-        out, v1, v2 = split_vertex(g, 0, [(0, 1)], [(0, 2)])
+        out, v1, v2 = split_copy(g, 0, [(0, 1)], [(0, 2)])
         assert out.m == 3 and out.n == 4
         assert enumerate_triangles(out) == []
         assert out.has_edge(v1, 1) and out.has_edge(v2, 2) and out.has_edge(1, 2)
 
     def test_empty_part_is_contract_violation(self):
         with pytest.raises(GraphError):
-            split_vertex(complete_graph(3), 0, [], [(0, 1), (0, 2)])
+            split_copy(complete_graph(3), 0, [], [(0, 1), (0, 2)])
 
     def test_non_partition_is_contract_violation(self):
         g = complete_graph(3)
         with pytest.raises(GraphError):
-            split_vertex(g, 0, [(0, 1)], [(0, 1), (0, 2)])
+            split_copy(g, 0, [(0, 1)], [(0, 1), (0, 2)])
         with pytest.raises(GraphError):
-            split_vertex(g, 0, [(0, 1)], [])
+            split_copy(g, 0, [(0, 1)], [])
 
     def test_triangle_bijection_under_rule_condition(self):
         # Parts that no triangle straddles: triangle count is preserved.
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
                               (1, 2), (3, 5)])
         before = len(enumerate_triangles(g))
-        out, _, _ = split_vertex(g, 0, [(0, 1), (0, 2)], [(0, 3), (0, 4)])
+        out, _, _ = split_copy(g, 0, [(0, 1), (0, 2)], [(0, 3), (0, 4)])
         assert len(enumerate_triangles(out)) == before
         assert out.m == g.m and out.n == g.n + 1
 

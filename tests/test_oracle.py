@@ -95,24 +95,27 @@ class TestCoverSolver:
 class TestDecide:
     def test_examples(self):
         k4 = complete_graph(4)
-        assert decide(Instance(k4, 1, Variant.ETP)) is True
-        assert decide(Instance(k4, 1, Variant.ETC)) is False
-        assert decide(Instance(complete_graph(5), 3, Variant.ETP)) is False
+        assert decide(Instance(k4, 1, Variant.ETP)) == (True, [(0, 1, 2)])
+        answer, cover = decide(Instance(k4, 2, Variant.ETC))
+        assert answer is True and len(cover) == 2
+        assert decide(Instance(k4, 1, Variant.ETC)) == (False, None)
+        assert decide(Instance(complete_graph(5), 3, Variant.ETP)) == (False, None)
 
     def test_degenerate_k(self):
         g = complete_graph(3)
-        assert decide(Instance(g, 0, Variant.ETP)) is True
-        assert decide(Instance(g, -1, Variant.ETP)) is True
-        assert decide(Instance(g, -1, Variant.ETC)) is False
+        assert decide(Instance(g, 0, Variant.ETP)) == (True, [])
+        assert decide(Instance(g, -1, Variant.ETP)) == (True, [])
+        assert decide(Instance(g, -1, Variant.ETC)) == (False, None)
 
     def test_budget_refusal(self):
         big = disjoint_triangles(61)  # 183 vertices, 61 triangles
         with pytest.raises(OracleBudgetError):
             decide(Instance(big, 3, Variant.ETP))
-        assert decide(Instance(big, 61, Variant.ETP), budget=False) is True
+        answer, witness = decide(Instance(big, 61, Variant.ETP), budget=False)
+        assert answer is True and len(witness) == 61
 
     def test_small_vertex_count_is_always_accepted(self):
-        assert decide(Instance(complete_graph(6), 1, Variant.ETP)) is True
+        assert decide(Instance(complete_graph(6), 1, Variant.ETP))[0] is True
 
 
 class TestCrossProperties:

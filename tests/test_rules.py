@@ -1,13 +1,16 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 
-from trikernel.graph import Graph, Instance, Variant, enumerate_triangles
+from trikernel.graph import Graph, GraphError, Instance, Variant, enumerate_triangles
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
 from trikernel.packing import TrianglePacking, greedy_maximal_packing, labeled_edges
 from trikernel.rules import (
     RULE_IDS,
+    SWAP_RULES,
+    apply_event,
     find_augment_one,
     find_augment_two,
     find_crown,
@@ -15,20 +18,15 @@ from trikernel.rules import (
     find_prunable,
     find_revertex,
     find_splittable,
+    finish,
     is_valid_cover_solution,
     is_valid_packing_solution,
     kernelize,
     lift_solution,
     replay_trace,
-    rule_augment_one,
-    rule_augment_two,
-    rule_crown_reduce,
-    rule_k4,
-    rule_prune,
-    rule_revertex,
-    rule_split,
-    rule_terminal,
-    rule_threshold,
+    rule_event,
+    terminal_verdict,
+    threshold_verdict,
     trace_from_json,
     trace_to_json,
 )
@@ -43,6 +41,18 @@ from conftest import (
 )
 
 
+def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
+    """One application of ``rule`` on copies: the new instance (graph rules)
+    or the rewritten packing (R6-R8), or None when the rule does not apply."""
+    ev = rule_event(rule, inst.graph, inst.variant, s)
+    if ev is None:
+        return None
+    out = Instance(inst.graph.copy(), inst.k + ev.k_delta, inst.variant)
+    packing = None if s is None else s.copy()
+    apply_event(out.graph, ev, packing)
+    return packing if rule in SWAP_RULES else out
+
+
 def both_optima(g: Graph):
     return (solve_etp_exact(g, budget=False).optimum,
             solve_etc_exact(g, budget=False).optimum)
@@ -50,50 +60,50 @@ def both_optima(g: Graph):
 
 class TestRuleTerminal:
     def test_etp_small_k_wins(self):
-        assert rule_terminal(Instance(Graph(), 0, Variant.ETP)) == "yes"
-        assert rule_terminal(Instance(complete_graph(3), -2, Variant.ETP)) == "yes"
+        assert terminal_verdict(Graph(), 0, Variant.ETP) == "yes"
+        assert terminal_verdict(complete_graph(3), -2, Variant.ETP) == "yes"
 
     def test_etp_empty_graph_loses(self):
-        assert rule_terminal(Instance(Graph(), 1, Variant.ETP)) == "no"
+        assert terminal_verdict(Graph(), 1, Variant.ETP) == "no"
 
     def test_etc_empty_graph_wins(self):
-        assert rule_terminal(Instance(Graph(), 0, Variant.ETC)) == "yes"
-        assert rule_terminal(Instance(Graph(), -1, Variant.ETC)) == "no"
+        assert terminal_verdict(Graph(), 0, Variant.ETC) == "yes"
+        assert terminal_verdict(Graph(), -1, Variant.ETC) == "no"
 
     def test_silent_otherwise(self):
-        assert rule_terminal(Instance(complete_graph(3), 1, Variant.ETP)) is None
+        assert terminal_verdict(complete_graph(3), 1, Variant.ETP) is None
 
 
 class TestRulePrune:
     def test_c5_dissolves(self):
-        out = rule_prune(Instance(cycle_graph(5), 1, Variant.ETP))
+        out = apply_once(Instance(cycle_graph(5), 1, Variant.ETP), "R2")
         assert out is not None and out.graph.n == 0 and out.graph.m == 0
 
     def test_pendant_edge_and_vertex_go(self):
         g = complete_graph(3)
         g.add_edge(2, 3)
-        out = rule_prune(Instance(g, 1, Variant.ETP))
+        out = apply_once(Instance(g, 1, Variant.ETP), "R2")
         assert out.graph.vertex_set() == {0, 1, 2}
         assert not out.graph.has_edge(2, 3)
 
     def test_k4_untouched(self):
-        assert rule_prune(Instance(complete_graph(4), 1, Variant.ETP)) is None
+        assert apply_once(Instance(complete_graph(4), 1, Variant.ETP), "R2") is None
 
     def test_decision_preserved(self):
         g = complete_graph(3)
         g.add_edge(2, 3)
         g.add_vertex(9)
-        out = rule_prune(Instance(g, 1, Variant.ETP))
+        out = apply_once(Instance(g, 1, Variant.ETP), "R2")
         assert both_optima(g) == both_optima(out.graph)
 
 
 class TestRuleK4:
     def test_isolated_k4_etp(self):
-        out = rule_k4(Instance(complete_graph(4), 1, Variant.ETP))
+        out = apply_once(Instance(complete_graph(4), 1, Variant.ETP), "R3")
         assert out.k == 0 and out.graph.m == 0
 
     def test_isolated_k4_etc(self):
-        out = rule_k4(Instance(complete_graph(4), 2, Variant.ETC))
+        out = apply_once(Instance(complete_graph(4), 2, Variant.ETC), "R3")
         assert out.k == 0 and out.graph.m == 0
 
     def test_k5_has_no_exclusive_quad(self):
@@ -107,7 +117,7 @@ class TestRuleK4:
 
     def test_decision_delta(self):
         g = complete_graph(4)
-        g2 = rule_k4(Instance(g, 5, Variant.ETP)).graph
+        g2 = apply_once(Instance(g, 5, Variant.ETP), "R3").graph
         p0, c0 = both_optima(g)
         p1, c1 = both_optima(g2)
         assert p1 == p0 - 1 and c1 == c0 - 2
@@ -115,7 +125,7 @@ class TestRuleK4:
 
 class TestRuleSplit:
     def test_bowtie_splits_into_disjoint_triangles(self):
-        out = rule_split(Instance(bowtie(), 2, Variant.ETP))
+        out = apply_once(Instance(bowtie(), 2, Variant.ETP), "R4")
         g2 = out.graph
         assert g2.n == 6 and g2.m == 6
         tris = enumerate_triangles(g2)
@@ -137,7 +147,7 @@ class TestRuleSplit:
         assert part1 == [(0, 1), (0, 2)] and part2 == [(0, 3), (0, 4)]
 
     def test_decision_preserved(self):
-        out = rule_split(Instance(bowtie(), 2, Variant.ETP))
+        out = apply_once(Instance(bowtie(), 2, Variant.ETP), "R4")
         assert both_optima(bowtie()) == both_optima(out.graph)
 
 
@@ -145,15 +155,15 @@ class TestRuleThreshold:
     def test_packing_larger_than_k(self):
         g = disjoint_triangles(2)
         s = greedy_maximal_packing(g)
-        assert rule_threshold(Instance(g, 1, Variant.ETP), s) == "yes"
-        assert rule_threshold(Instance(g, 1, Variant.ETC), s) == "no"
+        assert threshold_verdict(s, 1, Variant.ETP) == "yes"
+        assert threshold_verdict(s, 1, Variant.ETC) == "no"
         # oracle agreement: the minimum cover really is 2
         assert solve_etc_exact(g).optimum == 2
 
     def test_silent_at_k(self):
         g = complete_graph(3)
         s = greedy_maximal_packing(g)
-        assert rule_threshold(Instance(g, 1, Variant.ETP), s) is None
+        assert threshold_verdict(s, 1, Variant.ETP) is None
 
 
 class TestRuleAugmentOne:
@@ -162,7 +172,7 @@ class TestRuleAugmentOne:
                               (5, 2), (5, 3)])
         s = greedy_maximal_packing(g)
         assert s.triangles == [(1, 2, 3)]
-        out = rule_augment_one(Instance(g, 9, Variant.ETP), s)
+        out = apply_once(Instance(g, 9, Variant.ETP), "R6", s)
         assert out is not None and len(out) == 2
         assert sorted(out.triangles) == [(1, 2, 4), (2, 3, 5)]
         out.validate(g)
@@ -196,7 +206,7 @@ class TestRuleAugmentTwo:
         s = greedy_maximal_packing(g)
         assert s.sorted_triangles() == [(1, 2, 3), (2, 4, 5)]
         assert find_augment_one(g, s) is None
-        out = rule_augment_two(Instance(g, 9, Variant.ETP), s)
+        out = apply_once(Instance(g, 9, Variant.ETP), "R7", s)
         assert out is not None
         assert sorted(out.triangles) == [(1, 2, 6), (2, 3, 5), (2, 4, 7)]
         out.validate(g)
@@ -218,7 +228,7 @@ class TestRuleRevertex:
         assert s.sorted_triangles() == [(1, 2, 3), (3, 4, 5)]
         assert find_augment_one(g, s) is None
         assert find_augment_two(g, s) is None
-        out = rule_revertex(Instance(g, 9, Variant.ETP), s)
+        out = apply_once(Instance(g, 9, Variant.ETP), "R8", s)
         assert out is not None
         assert sorted(out.triangles) == [(1, 2, 6), (3, 4, 5)]
         assert len(out.vertex_set()) == len(s.vertex_set()) + 1
@@ -241,7 +251,7 @@ class TestRuleRevertex:
         assert found is not None
         t1, t2, _ = found
         assert (t1, t2) == ((2, 4, 10), (3, 4, 5))
-        out = rule_revertex(Instance(g, 9, Variant.ETP), s)
+        out = apply_once(Instance(g, 9, Variant.ETP), "R8", s)
         out.validate(g)  # would raise if an owned edge were reused
         assert sorted(out.triangles) == [(1, 2, 3), (2, 4, 10), (3, 5, 7)]
         assert len(out.vertex_set()) > len(s.vertex_set())
@@ -254,14 +264,14 @@ class TestRuleCrownReduce:
         fc = find_crown(g, s, labeled_edges(g, s))
         assert fc is not None
         assert {3, 4} <= fc.crown and fc.head == {(0, 1)}
-        out = rule_crown_reduce(Instance(g, 2, Variant.ETP), s)
+        out = apply_once(Instance(g, 2, Variant.ETP), "R9", s)
         assert out.k == 1
         assert not out.graph.has_edge(0, 1)
 
     def test_single_fan_closure_case(self):
         g = spanned_triangle(1)
         s = greedy_maximal_packing(g)
-        out = rule_crown_reduce(Instance(g, 1, Variant.ETC), s)
+        out = apply_once(Instance(g, 1, Variant.ETC), "R9", s)
         assert out is not None and out.k == 0
         p0, c0 = both_optima(g)
         p1, c1 = both_optima(out.graph)
@@ -292,11 +302,11 @@ class TestKernelize:
         out = kernelize(Instance(complete_graph(3), 1, Variant.ETP))
         red = out.instance
         s = out.packing
-        assert rule_terminal(red) is None
+        assert terminal_verdict(red.graph, red.k, red.variant) is None
         assert find_prunable(red.graph) is None
         assert find_exclusive_k4(red.graph) is None
         assert find_splittable(red.graph) is None
-        assert rule_threshold(red, s) is None
+        assert threshold_verdict(s, red.k, red.variant) is None
         assert find_augment_one(red.graph, s) is None
         assert find_augment_two(red.graph, s) is None
         assert find_revertex(red.graph, s) is None
@@ -319,6 +329,25 @@ class TestKernelize:
         # and the serialized trace round-trips
         again = trace_from_json(trace_to_json(out.trace))
         assert replay_trace(g, again).edges() == replayed.edges()
+
+    def test_replay_rejects_a_split_that_mints_other_ids(self):
+        out = kernelize(Instance(bowtie(), 2, Variant.ETP))
+        assert [ev.rule for ev in out.trace] == ["R4"]
+        shifted = bowtie()
+        shifted.add_vertex(20)  # the next minted id moves past 20
+        with pytest.raises(GraphError):
+            replay_trace(shifted, out.trace)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"events": [{}]}', "trace event 0: unknown rule"),
+        ("{}", "'events' list"),
+        ('{"events": [{"rule": "R2"}, {"rule": "R4", "split": {"vertex": 0}}]}',
+         "trace event 1: missing field 'part1'"),
+        ("[]", "'events' list"),
+    ], ids=["empty-event", "no-events", "split-without-parts", "bare-list"])
+    def test_malformed_trace_is_a_value_error(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            trace_from_json(text)
 
     @given(graphs(max_n=9))
     @settings(max_examples=60, deadline=None)
@@ -352,11 +381,11 @@ class TestKernelize:
                 red, s = out.instance, out.packing
                 s.validate(red.graph)
                 assert s.is_maximal(red.graph)
-                assert rule_terminal(red) is None
+                assert terminal_verdict(red.graph, red.k, red.variant) is None
                 assert find_prunable(red.graph) is None
                 assert find_exclusive_k4(red.graph) is None
                 assert find_splittable(red.graph) is None
-                assert rule_threshold(red, s) is None
+                assert threshold_verdict(s, red.k, red.variant) is None
                 assert find_augment_one(red.graph, s) is None
                 assert find_augment_two(red.graph, s) is None
                 assert find_revertex(red.graph, s) is None
@@ -414,19 +443,9 @@ class TestLiftSolution:
             for variant, opt in ((Variant.ETP, etp), (Variant.ETC, etc)):
                 k = opt  # the tight yes-instance
                 out = kernelize(Instance(g.copy(), k, variant))
-                if out.verdict == "no":
+                answer, base = finish(out, variant, budget=False)
+                if not answer:
                     raise AssertionError("equivalence broken")
-                if out.verdict == "yes":
-                    if variant is Variant.ETP and out.verdict_rule == "R5":
-                        base = list(out.packing.triangles)
-                    else:
-                        base = []
-                else:
-                    red = out.instance
-                    if variant is Variant.ETP:
-                        base = solve_etp_exact(red.graph, budget=False).witness
-                    else:
-                        base = solve_etc_exact(red.graph, budget=False).witness
                 witness = lift_solution(out.trace, base, variant)
                 if variant is Variant.ETP:
                     assert is_valid_packing_solution(g, witness, k)
