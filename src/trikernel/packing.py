@@ -10,6 +10,7 @@ components of the subgraph carrying the packed edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graph import (
     Edge,
@@ -17,8 +18,8 @@ from .graph import (
     GraphError,
     Triangle,
     edge_key,
-    enumerate_triangles,
     triangle_edges,
+    triangle_key,
 )
 
 
@@ -98,17 +99,52 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     return s
 
 
-def remaximalize(g: Graph, s: TrianglePacking) -> TrianglePacking:
-    """Grow ``s`` in place to a maximal packing; never removes triangles."""
-    _extend_greedily(g, s)
+def remaximalize(g: Graph, s: TrianglePacking,
+                 freed: Iterable[Edge] | None = None) -> TrianglePacking:
+    """Grow ``s`` in place to a maximal packing; never removes triangles.
+
+    Without ``freed`` this is a greedy pass over every triangle.  With it,
+    ``s`` must have been maximal before some of its triangles were swapped
+    out, and ``freed`` holds the edges the swap released.  Every triangle
+    that was blocked before is still blocked unless one of its packed edges
+    was freed, so only triangles through a freed edge can enter; they are
+    tried in lexicographic order, which gives the packing a full pass gives.
+    """
+    if freed is None:
+        _extend_greedily(g, s)
+        return s
+    packed = s.edge_index
+    adj = g.adj
+    candidates = set()
+    for u, v in freed:
+        if (u, v) not in packed:
+            for w in adj[u] & adj[v]:
+                candidates.add(triangle_key(u, v, w))
+    for t in sorted(candidates):
+        a, b, c = t
+        if (a, b) not in packed and (a, c) not in packed and (b, c) not in packed:
+            s.add(t)
     return s
 
 
 def _extend_greedily(g: Graph, s: TrianglePacking) -> None:
+    """Add every triangle that fits, in lexicographic order.
+
+    One sorted ``u < v < w`` walk: a packed ``(u, v)`` blocks every ``w``,
+    and once ``(u, v, w)`` is added, ``(u, v)`` is packed, so the walk moves
+    on to the next ``v``.
+    """
     packed = s.edge_index
-    for t in enumerate_triangles(g):
-        if all(e not in packed for e in triangle_edges(t)):
-            s.add(t)
+    adj = g.adj
+    for u in sorted(adj):
+        au = adj[u]
+        for v in sorted(x for x in au if x > u):
+            if (u, v) in packed:
+                continue
+            for w in sorted(x for x in au & adj[v] if x > v):
+                if (u, w) not in packed and (v, w) not in packed:
+                    s.add((u, v, w))
+                    break
 
 
 def labeled_edges(g: Graph, s: TrianglePacking) -> set[Edge]:

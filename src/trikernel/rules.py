@@ -1,11 +1,25 @@
 """The nine reduction rules, the fixpoint driver, traces, and lifting.
 
-Rules are applied in strict priority order R1 < R2 < ... < R9; after any rule
-fires, scanning restarts from R1.  Rules 1-4 look only at the graph, Rule 5
-compares the working packing against ``k``, Rules 6-8 rewrite the packing
-without touching the graph, and Rule 9 shrinks the graph through a fat-head
-crown.  The packing is rebuilt from scratch whenever the graph changes and is
-re-maximalized after every packing rewrite.
+Rules are applied in strict priority order R1 < R2 < ... < R9: each event
+is the first one a scan restarted from R1 would find.  Rules 1-4 look only at
+the graph, Rule 5 compares the working packing against ``k``, Rules 6-8
+rewrite the packing without touching the graph, and Rule 9 shrinks the graph
+through a fat-head crown.  The packing is rebuilt greedily whenever the graph
+changes and is re-maximalized after every packing rewrite.
+
+The driver resumes rather than restarts.  Suppose R2 and R3 found nothing
+and R4 splits ``v``.  Every triangle through ``v`` has its two other vertices
+in one component of ``G[N(v)]``, so the split maps each edge's common-
+neighbour set one-to-one onto the new graph: no edge becomes triangle-free
+(R2 stays clean), no exclusive K4 appears (R3 stays clean), and every other
+vertex keeps the component structure of its neighbourhood, so no vertex
+below ``v`` becomes splittable.  The next R4 scan therefore starts after
+``v`` (the minted ids are the largest, so they are still scanned), and R2
+and R3 rescan only after an R2, R3 or R9 event.  An R2 sweep deletes only
+material in no triangle, so it leaves nothing for a second sweep: after it
+the scan goes on with R3.  After a swap only the triangles through edges
+the swap freed can join the packing, and re-maximalization tries just
+those.
 
 Rules 1 and 5 end the run with a verdict.  Every other application is a
 :class:`RuleEvent`: :func:`rule_event` builds it from the rule's finder, and
@@ -24,7 +38,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .crown import FatHeadCrown, build_span_bipartite, extract_crown, max_matching
+from .crown import (
+    FatHeadCrown,
+    build_span_bipartite,
+    extract_crown,
+    max_matching,
+    verify_crown,
+)
 from .graph import (
     Edge,
     Graph,
@@ -106,25 +126,69 @@ class RuleEvent:
         missing = [f for f in _EVENT_FIELDS[rule] if f not in data]
         if missing:
             raise ValueError(f"{rule} event lacks {', '.join(missing)}")
-        ev = cls(rule=rule, k_delta=data.get("k_delta", 0))
-        ev.removed_vertices = list(data.get("removed_vertices", []))
-        ev.removed_edges = [tuple(e) for e in data.get("removed_edges", [])]
+        k_delta = data.get("k_delta", 0)
+        if type(k_delta) is not int:
+            raise ValueError(f"k_delta {k_delta!r} is not an integer")
+        ev = cls(rule=rule, k_delta=k_delta)
+        ev.removed_vertices = [_vertex(v)
+                               for v in _list(data, "removed_vertices", [])]
+        ev.removed_edges = [_ids(e, 2, "edge")
+                            for e in _list(data, "removed_edges", [])]
         if "split" in data:
-            split = data["split"]
-            ev.split_vertex = split["vertex"]
-            ev.split_part1 = [tuple(e) for e in split["part1"]]
-            ev.split_part2 = [tuple(e) for e in split["part2"]]
-            ev.split_minted = tuple(split["minted"])  # type: ignore[assignment]
+            split = _object(data["split"], "split")
+            ev.split_vertex = _vertex(split["vertex"])
+            ev.split_part1 = [_ids(e, 2, "edge") for e in _list(split, "part1")]
+            ev.split_part2 = [_ids(e, 2, "edge") for e in _list(split, "part2")]
+            ev.split_minted = _ids(split["minted"], 2, "minted pair")  # type: ignore
         if "quad" in data:
-            ev.quad = tuple(data["quad"])  # type: ignore[assignment]
+            ev.quad = _ids(data["quad"], 4, "quad")  # type: ignore[assignment]
         if "crown" in data:
-            crowndata = data["crown"]
-            ev.crown_vertices = list(crowndata["vertices"])
-            ev.head_edges = [tuple(e) for e in crowndata["head"]]
-            ev.crown_witness = [(c, tuple(e)) for c, e in crowndata["witness"]]
-        ev.packing_removed = [tuple(t) for t in data.get("packing_removed", [])]
-        ev.packing_added = [tuple(t) for t in data.get("packing_added", [])]
+            crowndata = _object(data["crown"], "crown")
+            ev.crown_vertices = [_vertex(v) for v in _list(crowndata, "vertices")]
+            ev.head_edges = [_ids(e, 2, "edge") for e in _list(crowndata, "head")]
+            ev.crown_witness = [_witness_pair(p)
+                                for p in _list(crowndata, "witness")]
+        ev.packing_removed = [_ids(t, 3, "triangle")
+                              for t in _list(data, "packing_removed", [])]
+        ev.packing_added = [_ids(t, 3, "triangle")
+                            for t in _list(data, "packing_added", [])]
         return ev
+
+
+def _vertex(x: object) -> int:
+    if type(x) is not int or x < 0:
+        raise ValueError(f"vertex id {x!r} is not a non-negative integer")
+    return x
+
+
+def _ids(x: object, arity: int, what: str) -> tuple:
+    """A list of ``arity`` distinct vertex ids, as a tuple in its own order."""
+    if not isinstance(x, list) or len(x) != arity:
+        raise ValueError(f"{what} {x!r} is not a list of {arity} vertex ids")
+    out = tuple(_vertex(v) for v in x)
+    if len(set(out)) != arity:
+        raise ValueError(f"{what} {x!r} repeats a vertex")
+    return out
+
+
+def _object(x: object, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValueError(f"{what} {x!r} is not a JSON object")
+    return x
+
+
+def _list(data: dict, key: str, default: list | None = None) -> list:
+    """The list under ``key``; only a field with a ``default`` may be absent."""
+    x = data[key] if default is None else data.get(key, default)
+    if not isinstance(x, list):
+        raise ValueError(f"{key} {x!r} is not a list")
+    return x
+
+
+def _witness_pair(x: object) -> tuple[int, Edge]:
+    if not isinstance(x, list) or len(x) != 2:
+        raise ValueError(f"crown witness {x!r} is not a [vertex, edge] pair")
+    return _vertex(x[0]), _ids(x[1], 2, "edge")
 
 
 def trace_to_json(trace: Sequence[RuleEvent]) -> str:
@@ -182,18 +246,22 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
     never destroys a triangle, so the batch is the single-deletion fixpoint).
     Returned edges exclude those incident to returned vertices.
     """
-    live_edges: set[Edge] = set()
-    for u, v in g.iter_edges():
-        if g.adj[u] & g.adj[v]:
-            live_edges.add((u, v))
-    live_vertices = {v for e in live_edges for v in e}
-    dead_vertices = sorted(v for v in g.adj if v not in live_vertices)
-    dead = set(dead_vertices)
-    dead_edges = sorted(e for e in g.iter_edges()
-                        if e not in live_edges and e[0] not in dead and e[1] not in dead)
-    if not dead_vertices and not dead_edges:
+    adj = g.adj
+    live: set[int] = set()
+    dead_edges: list[Edge] = []
+    for u, nu in adj.items():
+        for v in nu:
+            if u < v:
+                if nu.isdisjoint(adj[v]):
+                    dead_edges.append((u, v))
+                else:
+                    live.add(u)
+                    live.add(v)
+    if not dead_edges and len(live) == len(adj):
         return None
-    return dead_vertices, dead_edges
+    # a vertex is dead when no edge at it is live; its edges go with it
+    return (sorted(v for v in adj if v not in live),
+            sorted(e for e in dead_edges if e[0] in live and e[1] in live))
 
 
 def _is_exclusive_k4(g: Graph, quad: Sequence[int]) -> bool:
@@ -224,27 +292,39 @@ def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def find_splittable(g: Graph) -> tuple[int, list[Edge], list[Edge]] | None:
-    """Rule 4: smallest vertex whose incident edges separate into triangle-
-    disconnected parts.  Triangles through ``v`` pair exactly the adjacent
-    neighbors of ``v``, so the parts are the connected components of the
-    graph induced on ``N(v)``; the first part grows from the smallest
-    incident edge."""
-    for v in sorted(g.adj):
-        nbrs = g.adj[v]
+def find_splittable(
+    g: Graph, after: int | None = None,
+) -> tuple[int, list[Edge], list[Edge]] | None:
+    """Rule 4: smallest vertex (above ``after``, if given) whose incident
+    edges separate into triangle-disconnected parts.  Triangles through
+    ``v`` pair exactly the adjacent neighbors of ``v``, so the parts are the
+    connected components of the graph induced on ``N(v)``; the first part
+    grows from the smallest incident edge (the one to the smallest neighbor)
+    and the second holds every other component.
+
+    The driver passes ``after`` = the vertex it just split: no vertex below
+    it can have become splittable (see the module docstring)."""
+    adj = g.adj
+    if after is None:
+        order = sorted(adj)
+    elif g.next_id - after <= 2 * len(adj):
+        # walking the id range skips a sort; ids from input can be sparse
+        order = (v for v in range(after + 1, g.next_id) if v in adj)
+    else:
+        order = sorted(v for v in adj if v > after)
+    for v in order:
+        nbrs = adj[v]
         if len(nbrs) < 2:
             continue
-        seed_edge = min(edge_key(v, u) for u in nbrs)
-        seed = seed_edge[1] if seed_edge[0] == v else seed_edge[0]
+        seed = min(nbrs)
         comp = {seed}
         queue = [seed]
         while queue:
-            u = queue.pop()
-            for w in g.adj[u] & nbrs:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        if comp != nbrs:
+            reached = adj[queue.pop()] & nbrs
+            reached -= comp
+            comp |= reached
+            queue.extend(reached)
+        if len(comp) != len(nbrs):
             part1 = sorted(edge_key(v, u) for u in comp)
             part2 = sorted(edge_key(v, u) for u in nbrs - comp)
             return v, part1, part2
@@ -343,6 +423,18 @@ def _find_disjoint(cands: list[Triangle], need: int) -> list[Triangle] | None:
     return list(chosen) if descend(0, frozenset()) else None
 
 
+def _sharing_pairs(tris: list[Triangle]):
+    """Index pairs ``(i, j)``, ``i < j``, of triangles in ``tris`` that share
+    a vertex, in lexicographic order."""
+    by_vertex: dict[int, list[int]] = {}
+    for i, t in enumerate(tris):
+        for v in t:
+            by_vertex.setdefault(v, []).append(i)
+    for i, t in enumerate(tris):
+        for j in sorted({j for v in t for j in by_vertex[v] if j > i}):
+            yield i, j
+
+
 def find_augment_two(
     g: Graph, s: TrianglePacking,
     spanners: dict[Edge, list[int]] | None = None,
@@ -352,21 +444,13 @@ def find_augment_two(
     Requires Rule 6 to be exhausted; then no two disjoint candidates exist
     over a single triangle's edges, so any witness triple needs a candidate
     touching both triangles - which exists only when they share a vertex.
-    Only vertex-sharing pairs are scanned.
+    Only vertex-sharing pairs are scanned, in lexicographic pair order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
     tris = s.sorted_triangles()
-    index = {t: i for i, t in enumerate(tris)}
-    by_vertex: dict[int, list[Triangle]] = {}
-    for t in tris:
-        for v in t:
-            by_vertex.setdefault(v, []).append(t)
-    pairs = sorted({(min(a, b, key=index.get), max(a, b, key=index.get))
-                    for group in by_vertex.values() if len(group) > 1
-                    for a, b in combinations(group, 2)},
-                   key=lambda p: (index[p[0]], index[p[1]]))
-    for t1, t2 in pairs:
+    for i, j in _sharing_pairs(tris):
+        t1, t2 = tris[i], tris[j]
         cands = _pair_candidates(g, s, t1, t2, spanners)
         if len(cands) < 3:
             continue
@@ -385,7 +469,10 @@ def find_revertex(
 
     Replacements are restricted to edges in R plus the pair's own edges, so
     the rest of the packing stays edge-disjoint.  Growth needs a spanning
-    vertex outside the packing, so pairs without one are skipped.
+    vertex outside the packing, so pairs without one are skipped.  Two
+    triangles on six distinct vertices cannot be replaced by two covering
+    more than six, so only vertex-sharing pairs are scanned, in
+    lexicographic pair order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
@@ -397,19 +484,18 @@ def find_revertex(
                    for e in triangle_edges(t) for w in spanners.get(e, ()))
 
     flagged = [has_free_spanner(t) for t in tris]
-    for i, t1 in enumerate(tris):
-        for j in range(i + 1, len(tris)):
-            t2 = tris[j]
-            if not (flagged[i] or flagged[j]):
+    for i, j in _sharing_pairs(tris):
+        if not (flagged[i] or flagged[j]):
+            continue
+        t1, t2 = tris[i], tris[j]
+        base = set(t1) | set(t2)
+        cands = _pair_candidates(g, s, t1, t2, spanners,
+                                 vertex_filter=free | base)
+        for a, b in combinations(cands, 2):
+            if frozenset(triangle_edges(a)) & frozenset(triangle_edges(b)):
                 continue
-            base = set(t1) | set(t2)
-            cands = _pair_candidates(g, s, t1, t2, spanners,
-                                     vertex_filter=free | base)
-            for a, b in combinations(cands, 2):
-                if frozenset(triangle_edges(a)) & frozenset(triangle_edges(b)):
-                    continue
-                if len(set(a) | set(b)) > len(base):
-                    return t1, t2, [a, b]
+            if len(set(a) | set(b)) > len(base):
+                return t1, t2, [a, b]
     return None
 
 
@@ -435,14 +521,16 @@ def threshold_verdict(s: TrianglePacking, k: int, variant: Variant) -> str | Non
 
 def rule_event(rule: str, g: Graph, variant: Variant,
                s: TrianglePacking | None = None,
-               spanners: dict[Edge, list[int]] | None = None) -> RuleEvent | None:
+               spanners: dict[Edge, list[int]] | None = None,
+               after: int | None = None) -> RuleEvent | None:
     """The event of one application of ``rule`` to the current state, or None.
 
-    Rules 2-4 read only ``g``; Rules 6-9 also read the working packing ``s``,
-    and Rules 6-8 reuse ``spanners`` when the caller has them.  Only
-    ``variant`` is needed to size Rule 3's ``k_delta``.  The finders are
-    looked up as module globals at call time, so replacing one on the module
-    changes what every caller sees.
+    Rules 2-4 read only ``g``; Rule 4 scans only vertices above ``after``
+    when it is given.  Rules 6-9 also read the working packing ``s``, and
+    Rules 6-8 reuse ``spanners`` when the caller has them.  Only ``variant``
+    is needed to size Rule 3's ``k_delta``.  The finders are looked up as
+    module globals at call time, so replacing one on the module changes what
+    every caller sees.
     """
     if rule == "R2":
         found = find_prunable(g)
@@ -456,7 +544,7 @@ def rule_event(rule: str, g: Graph, variant: Variant,
                              quad=quad, removed_edges=[edge_key(a, b) for a, b
                                                        in combinations(quad, 2)])
     elif rule == "R4":
-        found = find_splittable(g)
+        found = find_splittable(g, after)
         if found is not None:
             v, part1, part2 = found
             return RuleEvent("R4", split_vertex=v, split_part1=part1,
@@ -518,6 +606,11 @@ def apply_event(g: Graph, ev: RuleEvent, s: TrianglePacking | None = None) -> No
 
 # -- the fixpoint driver ------------------------------------------------------
 
+_STRUCTURAL = ("R2", "R3", "R4")
+# The structural rules that can apply after a graph event (module docstring);
+# R3 and R9 events leave all three to be scanned again.
+_RESCAN = {"R2": ("R3", "R4"), "R4": ("R4",)}
+
 
 def kernelize(inst: Instance) -> KernelOutcome:
     g = inst.graph.copy()
@@ -526,7 +619,8 @@ def kernelize(inst: Instance) -> KernelOutcome:
     trace: list[RuleEvent] = []
     counters = {r: 0 for r in RULE_IDS}
     s: TrianglePacking | None = None
-    structure_clean = False  # True once rules 2-4 are known inapplicable
+    scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
+    after = None        # R4 scans only the vertices above this one
 
     while True:
         verdict = terminal_verdict(g, k, variant)
@@ -535,10 +629,12 @@ def kernelize(inst: Instance) -> KernelOutcome:
             return KernelOutcome(verdict, None, s, trace, counters, "R1")
 
         ev = None
-        if not structure_clean:
-            ev = (rule_event("R2", g, variant) or rule_event("R3", g, variant)
-                  or rule_event("R4", g, variant))
-            structure_clean = ev is None
+        for rule in scan:
+            ev = rule_event(rule, g, variant, after=after)
+            if ev is not None:
+                break
+        else:
+            scan = ()
 
         if ev is None:
             if s is None:
@@ -560,13 +656,15 @@ def kernelize(inst: Instance) -> KernelOutcome:
         apply_event(g, ev, s)
         k += ev.k_delta
         if ev.rule in SWAP_RULES:
-            remaximalize(g, s)
+            remaximalize(g, s, [e for t in ev.packing_removed
+                                for e in triangle_edges(t)])
             s.validate(g)
             if ev.rule == "R8" and len(s.vertex_set()) <= covered:
                 raise GraphError("packing vertex count did not grow")
         else:
             s = None
-            structure_clean = False
+            scan = _RESCAN.get(ev.rule, _STRUCTURAL)
+            after = ev.split_vertex  # None after R2, R3 and R9
         counters[ev.rule] += 1
         trace.append(ev)
 
@@ -575,9 +673,21 @@ def kernelize(inst: Instance) -> KernelOutcome:
 
 
 def replay_trace(g: Graph, trace: Sequence[RuleEvent]) -> Graph:
-    """Fold :func:`apply_event` over ``trace`` on a copy of ``g``."""
+    """Fold :func:`apply_event` over ``trace`` on a copy of ``g``.
+
+    An R9 event must name a fat-head crown of the graph it meets, or the
+    replay raises :class:`GraphError` instead of deleting its vertices.
+    """
     out = g.copy()
-    for ev in trace:
+    for i, ev in enumerate(trace):
+        if ev.rule == "R9":
+            crown = set(ev.crown_vertices)
+            fc = FatHeadCrown(crown, {edge_key(*e) for e in ev.head_edges},
+                              out.vertex_set() - crown,
+                              [(c, edge_key(*e)) for c, e in ev.crown_witness])
+            if not verify_crown(out, fc):
+                raise GraphError(f"trace event {i}: R9 crown {ev.crown_vertices} "
+                                 "is not a fat-head crown of the graph it meets")
         apply_event(out, ev)
     return out
 

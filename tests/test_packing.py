@@ -1,4 +1,5 @@
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trikernel.graph import Graph, enumerate_triangles, triangle_edges
 from trikernel.packing import (
@@ -83,6 +84,42 @@ class TestRemaximalize:
         s = TrianglePacking()
         s.add((0, 2, 3))  # not the greedy-first triangle
         assert (0, 2, 3) in remaximalize(g, s)
+
+
+def enumerated_greedy(g: Graph, s: TrianglePacking) -> TrianglePacking:
+    """Reference greedy pass: every triangle of ``g`` in lexicographic order."""
+    for t in enumerate_triangles(g):
+        if all(e not in s.edge_index for e in triangle_edges(t)):
+            s.add(t)
+    return s
+
+
+class TestIncrementalUpkeep:
+    @given(graphs(max_n=10))
+    @settings(max_examples=100)
+    def test_fused_greedy_equals_enumerated_greedy(self, g):
+        assert (greedy_maximal_packing(g).triangles
+                == enumerated_greedy(g, TrianglePacking()).triangles)
+
+    @given(graphs(max_n=10, min_n=3), st.randoms(use_true_random=False))
+    @settings(max_examples=150)
+    def test_delta_remaximalize_equals_full_pass(self, g, rng):
+        # a swap on a maximal packing: drop some triangles, then add some
+        # that fit; only the dropped triangles' edges are freed
+        s = greedy_maximal_packing(g)
+        dropped = rng.sample(s.triangles, rng.randint(0, min(2, len(s))))
+        for t in dropped:
+            s.remove(t)
+        fitting = [t for t in enumerate_triangles(g)
+                   if all(e not in s.edge_index for e in triangle_edges(t))]
+        rng.shuffle(fitting)
+        for t in fitting[:rng.randint(0, 3)]:
+            if all(e not in s.edge_index for e in triangle_edges(t)):
+                s.add(t)
+        freed = [e for t in dropped for e in triangle_edges(t)]
+        delta = remaximalize(g, s.copy(), freed)
+        assert delta.triangles == remaximalize(g, s.copy()).triangles
+        assert delta.is_maximal(g)
 
 
 class TestLabeledEdges:

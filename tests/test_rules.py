@@ -1,10 +1,20 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trikernel.graph import Graph, GraphError, Instance, Variant, enumerate_triangles
+from trikernel.gen import corpus_specs, generate
+from trikernel.graph import (
+    Graph,
+    GraphError,
+    Instance,
+    Variant,
+    enumerate_triangles,
+    triangle_edges,
+)
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
 from trikernel.packing import TrianglePacking, greedy_maximal_packing, labeled_edges
 from trikernel.rules import (
@@ -51,6 +61,86 @@ def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
     packing = None if s is None else s.copy()
     apply_event(out.graph, ev, packing)
     return packing if rule in SWAP_RULES else out
+
+
+def reference_kernelize(inst: Instance):
+    """The fixpoint loop with nothing incremental: every event restarts the
+    scan at R1, and the packing is grown by a greedy pass over every
+    triangle.  Returns (verdict, verdict_rule, trace, counters, kernel)."""
+    g, k, variant = inst.graph.copy(), inst.k, inst.variant
+    trace, counters = [], {r: 0 for r in RULE_IDS}
+    s = None
+
+    def grow(s):
+        for t in enumerate_triangles(g):
+            if all(e not in s.edge_index for e in triangle_edges(t)):
+                s.add(t)
+        return s
+
+    while True:
+        verdict = terminal_verdict(g, k, variant)
+        if verdict is not None:
+            counters["R1"] += 1
+            return verdict, "R1", trace, counters, None
+        ev = None
+        for rule in ("R2", "R3", "R4"):
+            ev = ev or rule_event(rule, g, variant)
+        if ev is None:
+            if s is None:
+                s = grow(TrianglePacking())
+            verdict = threshold_verdict(s, k, variant)
+            if verdict is not None:
+                counters["R5"] += 1
+                return verdict, "R5", trace, counters, None
+            for rule in ("R6", "R7", "R8", "R9"):
+                ev = ev or rule_event(rule, g, variant, s)
+            if ev is None:
+                return "reduced", None, trace, counters, (k, g.edges(), g.vertices())
+        apply_event(g, ev, s)
+        k += ev.k_delta
+        if ev.rule in SWAP_RULES:
+            grow(s)
+        else:
+            s = None
+        counters[ev.rule] += 1
+        trace.append(ev)
+
+
+def assert_matches_reference(g: Graph) -> int:
+    """``kernelize`` agrees with :func:`reference_kernelize` at every k and
+    both variants; returns the number of runs compared."""
+    runs = 0
+    for k in range(g.n + 1):
+        for variant in (Variant.ETP, Variant.ETC):
+            inst = Instance(g, k, variant)
+            out = kernelize(inst)
+            red = out.instance
+            kernel = None if red is None else (red.k, red.graph.edges(),
+                                               red.graph.vertices())
+            verdict, rule, trace, counters, ref_kernel = reference_kernelize(inst)
+            assert (out.verdict, out.verdict_rule) == (verdict, rule)
+            assert trace_to_json(out.trace) == trace_to_json(trace)
+            assert out.counters == counters
+            assert kernel == ref_kernel
+            runs += 1
+    return runs
+
+
+@st.composite
+def glued_graphs(draw):
+    """Dense random pieces glued one vertex at a time: the glue vertices are
+    split candidates, which plain random graphs of this size rarely have."""
+    g = Graph()
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        n = draw(st.integers(min_value=3, max_value=5))
+        pairs = list(combinations(range(n), 2))
+        dropped = draw(st.sets(st.sampled_from(pairs), max_size=n - 1))
+        glue = draw(st.sampled_from(sorted(g.adj))) if g.adj else 0
+        name = {v: glue if v == 0 else g.next_id + v for v in range(n)}
+        for u, v in pairs:
+            if (u, v) not in dropped:
+                g.add_edge(name[u], name[v])
+    return g
 
 
 def both_optima(g: Graph):
@@ -151,6 +241,47 @@ class TestRuleSplit:
         assert both_optima(bowtie()) == both_optima(out.graph)
 
 
+class TestSplitLemma:
+    """What the resuming driver relies on after an R4 split at ``v``."""
+
+    @staticmethod
+    def check_split_chain(g: Graph) -> int:
+        # exhaust R2/R3, then follow every split the driver would make
+        while True:
+            ev = rule_event("R2", g, Variant.ETP) or rule_event("R3", g, Variant.ETP)
+            if ev is None:
+                break
+            apply_event(g, ev)
+        splits = 0
+        while (ev := rule_event("R4", g, Variant.ETP)) is not None:
+            triangles = len(enumerate_triangles(g))
+            apply_event(g, ev)
+            splits += 1
+            assert len(enumerate_triangles(g)) == triangles
+            assert find_prunable(g) is None
+            assert find_exclusive_k4(g) is None
+            v = ev.split_vertex
+            resumed = find_splittable(g, after=v)
+            assert find_splittable(g) == resumed
+            assert resumed is None or resumed[0] > v
+            # v1 takes the one component of G[N(v)] grown from the seed, so
+            # it is never splittable; v2 takes all the others
+            v1 = ev.split_minted[0]
+            hit = find_splittable(g, after=v1 - 1)
+            assert hit is None or hit[0] != v1
+        return splits
+
+    @given(glued_graphs())
+    @settings(max_examples=120, deadline=None)
+    def test_split_keeps_r2_r3_clean_and_nothing_below_splittable(self, g):
+        self.check_split_chain(g)
+
+    def test_corpus_splits(self):
+        splits = sum(self.check_split_chain(generate(spec))
+                     for spec in corpus_specs(17, 80, "kernel"))
+        assert splits > 50
+
+
 class TestRuleThreshold:
     def test_packing_larger_than_k(self):
         g = disjoint_triangles(2)
@@ -211,6 +342,17 @@ class TestRuleAugmentTwo:
         assert sorted(out.triangles) == [(1, 2, 6), (2, 3, 5), (2, 4, 7)]
         out.validate(g)
 
+    def test_first_pair_in_lexicographic_order(self):
+        # a third packed triangle (2,8,9) with spanner 10 and bridge (3,9)
+        # makes the pair ((1,2,3),(2,8,9)) work too; the earlier pair wins
+        g = self._lemma8_graph()
+        for e in [(2, 8), (2, 9), (8, 9), (10, 2), (10, 8), (3, 9)]:
+            g.add_edge(*e)
+        s = greedy_maximal_packing(g)
+        assert s.sorted_triangles() == [(1, 2, 3), (2, 4, 5), (2, 8, 9)]
+        t1, t2, _ = find_augment_two(g, s)
+        assert (t1, t2) == ((1, 2, 3), (2, 4, 5))
+
     def test_disjoint_pairs_without_attachments_absent(self):
         g = disjoint_triangles(2)
         assert find_augment_two(g, greedy_maximal_packing(g)) is None
@@ -233,6 +375,17 @@ class TestRuleRevertex:
         assert sorted(out.triangles) == [(1, 2, 6), (3, 4, 5)]
         assert len(out.vertex_set()) == len(s.vertex_set()) + 1
         out.validate(g)
+
+    def test_first_pair_in_lexicographic_order(self):
+        # (3,7,8) also shares 3 with (1,2,3); both pairs can grow, and the
+        # lexicographically first one is taken
+        g = self._case2_graph()
+        for e in [(3, 7), (3, 8), (7, 8)]:
+            g.add_edge(*e)
+        s = greedy_maximal_packing(g)
+        assert s.sorted_triangles() == [(1, 2, 3), (3, 4, 5), (3, 7, 8)]
+        t1, t2, _ = find_revertex(g, s)
+        assert (t1, t2) == ((1, 2, 3), (3, 4, 5))
 
     def test_no_free_vertices_absent(self):
         g = disjoint_triangles(2)
@@ -338,6 +491,46 @@ class TestKernelize:
         with pytest.raises(GraphError):
             replay_trace(shifted, out.trace)
 
+    @pytest.mark.parametrize("event, message", [
+        ({"rule": "R2", "removed_edges": [[1]]}, "edge \\[1\\] is not a list of 2"),
+        ({"rule": "R2", "removed_edges": [[1, 1]]}, "repeats a vertex"),
+        ({"rule": "R2", "removed_vertices": [-1]}, "-1 is not a non-negative"),
+        ({"rule": "R2", "removed_vertices": ["0"]}, "'0' is not a non-negative"),
+        ({"rule": "R2", "removed_vertices": [True]}, "True is not a non-negative"),
+        ({"rule": "R2", "k_delta": 0.5}, "k_delta 0.5 is not an integer"),
+        ({"rule": "R3", "quad": [0, 1, 2], "removed_edges": []}, "quad"),
+        ({"rule": "R6", "packing_removed": [[0, 1]], "packing_added": []},
+         "triangle \\[0, 1\\]"),
+        ({"rule": "R4", "split": {"vertex": 0, "part1": [[0, 1]], "part2": [[0, 2]],
+                                  "minted": [3]}}, "minted pair"),
+        ({"rule": "R9", "crown": {"vertices": [3], "head": [[0, 1]],
+                                  "witness": [[3, 0, 1]]}}, "crown witness"),
+        ({"rule": "R9", "crown": [3]}, "crown \\[3\\] is not a JSON object"),
+    ], ids=["short-edge", "loop-edge", "negative-vertex", "string-vertex",
+            "bool-vertex", "float-k-delta", "short-quad", "short-triangle",
+            "one-minted", "flat-witness", "crown-not-object"])
+    def test_bad_trace_values_are_value_errors(self, event, message):
+        text = json.dumps({"events": [{"rule": "R2"}, event]})
+        with pytest.raises(ValueError, match="trace event 1: .*" + message):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize("crown", [
+        {"vertices": [0], "head": [], "witness": []},
+        {"vertices": [2], "head": [[0, 1]], "witness": [[2, [0, 1]]]},
+    ], ids=["empty-head", "head-misses-spanned-edges"])
+    def test_replay_rejects_an_r9_event_that_is_not_a_crown(self, crown):
+        trace = trace_from_json(json.dumps(
+            {"events": [{"rule": "R9", "k_delta": -len(crown["head"]),
+                         "crown": crown}]}))
+        with pytest.raises(GraphError, match="trace event 0: R9 crown"):
+            replay_trace(complete_graph(4), trace)
+
+    def test_replay_accepts_a_real_crown(self):
+        g = spanned_triangle(2)
+        out = kernelize(Instance(g, 2, Variant.ETP))
+        assert [ev.rule for ev in out.trace] == ["R9"]
+        assert not replay_trace(g, out.trace).has_edge(0, 1)
+
     @pytest.mark.parametrize("text, message", [
         ('{"events": [{}]}', "trace event 0: unknown rule"),
         ("{}", "'events' list"),
@@ -369,7 +562,6 @@ class TestKernelize:
 
     def test_reduced_outcomes_are_fixpoints_with_maximal_packing(self):
         # at the outcome state (graph, k, final packing), no rule applies
-        from trikernel.gen import corpus_specs, generate
         seen = 0
         for spec in corpus_specs(31, 30, "small"):
             g = generate(spec)
@@ -400,6 +592,21 @@ class TestKernelize:
         out = kernelize(Instance(g, 3, Variant.ETP))
         assert set(out.counters) == set(RULE_IDS)
         assert all(c >= 0 for c in out.counters.values())
+
+
+class TestAgainstReferenceDriver:
+    """The resuming driver and its incremental packing upkeep must record
+    exactly what a restart-from-R1 loop with full greedy passes records."""
+
+    def test_kernel_corpus_every_k(self):
+        runs = sum(assert_matches_reference(generate(spec))
+                   for spec in corpus_specs(23, 30, "kernel"))
+        assert runs > 1000
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs_every_k(self, g):
+        assert_matches_reference(g)
 
 
 class TestLiftSolution:
