@@ -100,19 +100,17 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
 
 
 def remaximalize(g: Graph, s: TrianglePacking,
-                 freed: Iterable[Edge] | None = None) -> TrianglePacking:
-    """Grow ``s`` in place to a maximal packing; never removes triangles.
+                 freed: Iterable[Edge]) -> TrianglePacking:
+    """Grow ``s`` in place by the triangles through ``freed``; never removes.
 
-    Without ``freed`` this is a greedy pass over every triangle.  With it,
-    ``s`` must have been maximal before some of its triangles were swapped
-    out, and ``freed`` holds the edges the swap released.  Every triangle
-    that was blocked before is still blocked unless one of its packed edges
-    was freed, so only triangles through a freed edge can enter; they are
-    tried in lexicographic order, which gives the packing a full pass gives.
+    ``s`` was maximal before some of its triangles were swapped out, and
+    ``freed`` holds the edges the swap released.  Every triangle that was
+    blocked before is still blocked unless one of its packed edges was
+    freed, so only triangles through a freed edge can enter; they are tried
+    in lexicographic order, which gives the packing a full greedy pass
+    gives.  With ``freed = g.edges()`` this is that full pass, and ``s``
+    need not have been maximal.
     """
-    if freed is None:
-        _extend_greedily(g, s)
-        return s
     packed = s.edge_index
     adj = g.adj
     candidates = set()

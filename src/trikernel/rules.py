@@ -305,14 +305,7 @@ def find_splittable(
     The driver passes ``after`` = the vertex it just split: no vertex below
     it can have become splittable (see the module docstring)."""
     adj = g.adj
-    if after is None:
-        order = sorted(adj)
-    elif g.next_id - after <= 2 * len(adj):
-        # walking the id range skips a sort; ids from input can be sparse
-        order = (v for v in range(after + 1, g.next_id) if v in adj)
-    else:
-        order = sorted(v for v in adj if v > after)
-    for v in order:
+    for v in sorted(v for v in adj if after is None or v > after):
         nbrs = adj[v]
         if len(nbrs) < 2:
             continue
