@@ -95,20 +95,36 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
                     queue.append(other)
         return found != INF
 
-    def dfs(a: int) -> bool:
-        for e in b.adj[a]:
-            other = pair_right.get(e)
-            if other is None or (dist[other] == dist[a] + 1 and dfs(other)):
-                pair_left[a] = e
-                pair_right[e] = a
-                return True
-        dist[a] = INF
-        return False
+    def augment(root: int) -> None:
+        # Depth-first search for an augmenting path along the BFS layers,
+        # kept on an explicit stack: ``frames`` holds each vertex on the path
+        # with its edges still to try, ``via`` the edge taken out of each.
+        frames = [(root, iter(b.adj[root]))]
+        via: list[Edge] = []
+        while frames:
+            a, edges = frames[-1]
+            for e in edges:
+                other = pair_right.get(e)
+                if other is None:
+                    via.append(e)
+                    for (x, _), f in zip(frames, via):
+                        pair_left[x] = f
+                        pair_right[f] = x
+                    return
+                if dist[other] == dist[a] + 1:
+                    via.append(e)
+                    frames.append((other, iter(b.adj[other])))
+                    break
+            else:
+                dist[a] = INF
+                frames.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for a in b.left:
             if a not in pair_left:
-                dfs(a)
+                augment(a)
     return pair_left
 
 

@@ -2,16 +2,27 @@
 
 Both solvers run branch-and-bound over the enumerated triangle list with
 edges packed into bitmasks; no external solver is involved, and results are
-deterministic.  They exist to ground-truth the reduction rules, so they
-refuse (rather than approximate) an instance over their size budget: one
-with more than ``MAX_VERTICES`` vertices *and* more than ``MAX_TRIANGLES``
-triangles.  An instance within either limit is always searched.
+deterministic.  Every node of either search is bounded, and the nodes wait
+on an explicit stack, so no input can exhaust the recursion limit:
 
-``limit`` trades exactness above a threshold for speed: a packing search may
-stop once it holds more than ``limit`` triangles, and a covering search only
-explores covers of at most ``limit`` edges, reporting ``limit + 1`` with
-``exact=False`` when the true optimum lies above.  Decisions for any
-``k <= limit`` are unaffected.
+* packing includes or excludes the next triangle of the lexicographic list
+  and bounds each node by a per-vertex degree bound over the edges its
+  candidates still use;
+* covering is 3-Hitting Set branching that partitions the covers: delete
+  one allowed edge of the live triangle with the fewest, forbidding the
+  edges tried before it, and bound each node below by live triangles whose
+  allowed edges are pairwise disjoint.
+
+They exist to ground-truth the reduction rules, so they refuse (rather than
+approximate) an instance over their size budget: one with more than
+``MAX_VERTICES`` vertices *and* more than ``MAX_TRIANGLES`` triangles.  An
+instance within either limit is always searched.
+
+``limit`` trades exactness above a threshold for speed: a packing search
+stops once it holds more than ``limit`` triangles (``exact=False``), and a
+covering search explores only covers of at most ``limit + 1`` edges,
+reporting ``limit + 1`` with ``exact=False`` and no witness when the true
+optimum lies above.  Decisions for any ``k <= limit`` are unaffected.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .graph import (
 
 MAX_VERTICES = 16
 MAX_TRIANGLES = 60
-_MEMO_CAP = 1_000_000
 
 
 class OracleBudgetError(RuntimeError):
@@ -51,10 +61,6 @@ class OracleResult:
     exact: bool = True
 
 
-class _EarlyStop(Exception):
-    pass
-
-
 def _edge_bits(g: Graph) -> dict[Edge, int]:
     return {e: 1 << i for i, e in enumerate(g.edges())}
 
@@ -63,9 +69,15 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
                     budget: bool = True) -> OracleResult:
     """Maximum edge-disjoint triangle packing.
 
-    Branch-and-bound over the lexicographic triangle list (include/exclude),
-    pruned by the free-edge bound ``floor(free/3)`` and, at the root, by the
-    per-vertex degree bound ``floor(sum(floor(deg/2))/3)``.
+    Branch-and-bound over the lexicographic triangle list from the greedy
+    lexicographic packing as incumbent: a node takes its first candidate
+    (include) before it drops it (exclude).  Every node is bounded by the
+    least of its candidate count, ``floor(free/3)`` and the per-vertex degree
+    bound ``sum_v floor(|union & star[v]|/2) // 3``, where ``union`` holds
+    the edges of its candidates and ``star[v]`` those at ``v`` (a packed
+    triangle uses two edges at each corner).  A bound only cuts subtrees that
+    cannot beat the incumbent, so it changes neither the incumbents nor the
+    witness.  The nodes wait on an explicit stack.
     """
     triangles = enumerate_triangles(g)
     _check_budget(g, triangles, budget)
@@ -75,62 +87,69 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     bit = _edge_bits(g)
     masks = [bit[e1] | bit[e2] | bit[e3]
              for e1, e2, e3 in map(triangle_edges, triangles)]
+    star: dict[int, int] = {}
+    for (u, v), b in bit.items():
+        star[u] = star.get(u, 0) | b
+        star[v] = star.get(v, 0) | b
+    stars = [s for s in star.values() if s & (s - 1)]  # one edge adds 0
 
     # Greedy incumbent: the lexicographic maximal packing.
     incumbent: list[int] = []
     used = 0
-    for i, m in enumerate(masks):
+    for m in masks:
         if not used & m:
-            incumbent.append(i)
+            incumbent.append(m)
             used |= m
+    best, best_set, exact = len(incumbent), tuple(incumbent), True
 
-    state = {"best": len(incumbent), "set": list(incumbent), "exact": True}
-    if limit is not None and state["best"] > limit:
-        return OracleResult(len(incumbent),
-                            sorted(triangles[i] for i in incumbent), False)
+    if limit is not None and best > limit:
+        exact = False
+    else:
+        # A node: (candidate masks, depth, chosen masks).
+        stack: list[tuple[list[int], int, tuple[int, ...]]] = [(masks, 0, ())]
+        while stack:
+            cand, depth, chosen = stack.pop()
+            if depth > best:
+                best, best_set = depth, chosen
+                if limit is not None and depth > limit:
+                    exact = False
+                    break
+            room = best - depth
+            if len(cand) <= room:
+                continue
+            union = 0
+            for m in cand:
+                union |= m
+            # The edge count is cheaper; the degree bound is never weaker.
+            if union.bit_count() // 3 <= room or sum(
+                    (union & s).bit_count() >> 1 for s in stars) // 3 <= room:
+                continue
+            head, tail = cand[0], cand[1:]
+            stack.append((tail, depth, chosen))
+            stack.append(([m for m in tail if not m & head], depth + 1,
+                          chosen + (head,)))
 
-    degree_pool = sum(g.degree(v) // 2 for v in g.adj) // 3
-    root_ub = min(len(masks), len(bit) // 3, degree_pool)
-    chosen: list[int] = []
-
-    def descend(cand: list[int], depth: int) -> None:
-        if depth > state["best"]:
-            state["best"] = depth
-            state["set"] = list(chosen)
-            if limit is not None and depth > limit:
-                state["exact"] = False
-                raise _EarlyStop
-        if not cand:
-            return
-        union = 0
-        for i in cand:
-            union |= masks[i]
-        if depth + min(len(cand), union.bit_count() // 3) <= state["best"]:
-            return
-        head, tail = cand[0], cand[1:]
-        chosen.append(head)
-        descend([i for i in tail if not masks[i] & masks[head]], depth + 1)
-        chosen.pop()
-        descend(tail, depth)
-
-    if state["best"] < root_ub:
-        try:
-            descend(list(range(len(masks))), 0)
-        except _EarlyStop:
-            pass
-
-    witness = sorted(triangles[i] for i in state["set"])
-    _assert_valid_packing(g, witness, state["best"])
-    return OracleResult(state["best"], witness, state["exact"])
+    triangle_of = dict(zip(masks, triangles))
+    witness = sorted(triangle_of[m] for m in best_set)
+    _assert_valid_packing(g, witness, best)
+    return OracleResult(best, witness, exact)
 
 
 def solve_etc_exact(g: Graph, *, limit: int | None = None,
                     budget: bool = True) -> OracleResult:
     """Minimum edge set meeting every triangle.
 
-    Branches on the three edges of the first uncovered triangle, pruned by an
-    edge-disjoint-packing lower bound (each packed triangle needs its own
-    deleted edge) and a memo of dominated deletion states.
+    3-Hitting Set branching that partitions the covers (Niedermeier &
+    Rossmanith, J. Discrete Algorithms 2003): each node holds the live
+    (unhit) triangles, the deleted edges and a set of forbidden edges.  It
+    picks the live triangle with the fewest allowed edges; branch ``i``
+    deletes that triangle's ``i``-th allowed edge and forbids the ones tried
+    before it, so no cover is searched twice.  The edges are tried in order
+    of how many live triangles each hits.  A live triangle with no allowed
+    edge closes the node; otherwise the node is bounded below by a greedy
+    count of live triangles whose allowed edges are pairwise disjoint (each
+    needs its own deleted edge), taken fewest allowed edges first.  The
+    nodes wait on an explicit stack.
     """
     triangles = enumerate_triangles(g)
     _check_budget(g, triangles, budget)
@@ -143,54 +162,55 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
              for e1, e2, e3 in map(triangle_edges, triangles)]
 
     greedy = _greedy_cover(masks)
-    # ``best`` is exclusive once a real incumbent exists; with a limit it also
-    # acts as the exploration cap (covers of size > limit are uninteresting).
-    if limit is not None and len(greedy) > limit + 1:
-        state: dict[str, int | None] = {"best": limit + 1, "mask": None}
+    # ``cap`` is exclusive: only covers smaller than it are searched.  With
+    # a limit and a greedy cover above ``limit + 1``, covers up to
+    # ``limit + 1`` are searched and no witness is held until one is found.
+    best: int | None
+    if limit is None or len(greedy) <= limit + 1:
+        cap, best = len(greedy), _or_all(greedy)
     else:
-        state = {"best": len(greedy), "mask": _or_all(greedy)}
+        cap, best = limit + 2, None
 
-    def packing_lb(deleted: int) -> int:
-        blocked = deleted
-        count = 0
-        for m in masks:
-            if not m & blocked:
-                blocked |= m
-                count += 1
-        return count
+    # A node: (parent's live masks, edge it deletes, deleted, count,
+    # forbidden); the live list is filtered when the node is popped.
+    stack = [(masks, 0, 0, 0, 0)]
+    while stack:
+        parent_live, edge, deleted, count, forbidden = stack.pop()
+        if count >= cap:
+            continue
+        live = [m for m in parent_live if not m & edge]
+        if not live:
+            cap, best = count, deleted
+            continue
+        allows = sorted((m & ~forbidden for m in live), key=int.bit_count)
+        pick = allows[0]
+        if not pick:
+            continue
+        blocked = lower = 0
+        for allowed in allows:
+            if not allowed & blocked:
+                blocked |= allowed
+                lower += 1
+        if count + lower >= cap:
+            continue
+        branch = []
+        while pick:
+            b = pick & -pick
+            pick ^= b
+            branch.append(b)
+        branch.sort(key=lambda b: -sum(1 for m in live if m & b))
+        children = []
+        for b in branch:
+            children.append((live, b, deleted | b, count + 1, forbidden))
+            forbidden |= b
+        stack.extend(reversed(children))
 
-    seen: dict[int, int] = {}
-
-    def descend(deleted: int, count: int) -> None:
-        live = next((m for m in masks if not m & deleted), None)
-        if live is None:
-            if count < state["best"] or state["mask"] is None:
-                state["best"] = count
-                state["mask"] = deleted
-            return
-        if count + max(packing_lb(deleted), 1) >= state["best"] + (
-                1 if state["mask"] is None else 0):
-            return
-        prior = seen.get(deleted)
-        if prior is not None and prior <= count:
-            return
-        if len(seen) < _MEMO_CAP:
-            seen[deleted] = count
-        rest = live
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            descend(deleted | b, count + 1)
-
-    descend(0, 0)
-    if state["mask"] is None:
-        # Nothing of size <= limit exists; only a lower bound is known.
-        return OracleResult(int(state["best"]), None, False)
-    optimum = int(state["best"])
-    mask = int(state["mask"])
-    witness = sorted(edge_of_bit[1 << i] for i in range(len(bit)) if mask >> i & 1)
-    _assert_valid_cover(g, witness, optimum)
-    return OracleResult(optimum, witness, True)
+    if best is None:
+        # Nothing of size <= limit + 1 exists; only a lower bound is known.
+        return OracleResult(cap - 1, None, False)
+    witness = sorted(edge_of_bit[1 << i] for i in range(len(bit)) if best >> i & 1)
+    _assert_valid_cover(g, witness, cap)
+    return OracleResult(cap, witness, True)
 
 
 def _greedy_cover(masks: list[int]) -> list[int]:

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -113,6 +115,28 @@ class TestMaxMatching:
         assert {a: sorted(es) for a, es in b.adj.items()} == {
             a: sorted(es) for a, es in adj.items()}
         assert len(max_matching(b)) == brute_max_matching_size(adj)
+
+    def test_long_augmenting_path_under_a_low_recursion_limit(self):
+        # Lefts 1..n-1 span heads e_i and e_(i+1) and first take e_i; left n
+        # spans only e_1, so the second phase needs the augmenting path
+        # n, e_1, 1, e_2, ..., n-1, e_n through every left vertex.
+        n = 300
+        head = {j: (1000 + 2 * j, 1001 + 2 * j) for j in range(1, n + 1)}
+        g = Graph.from_edges(head.values())
+        for a, spans in [(i, (i, i + 1)) for i in range(1, n)] + [(n, (1,))]:
+            for j in spans:
+                g.add_edge(a, head[j][0])
+                g.add_edge(a, head[j][1])
+        b = build_span_bipartite(g, set(range(1, n + 1)), set(head.values()))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 30)
+        try:
+            matching = max_matching(b)
+        finally:
+            sys.setrecursionlimit(old)
+        assert len(matching) == n
+        assert len(set(matching.values())) == n
+        assert all(e in b.adj[a] for a, e in matching.items())
 
 
 def brute_force_crowns(g: Graph, candidates: set, heads: set) -> list:

@@ -1,8 +1,10 @@
-from itertools import combinations
+import inspect
+import sys
 
 import pytest
 from hypothesis import given, settings
 
+from trikernel.gen import GenSpec, generate
 from trikernel.graph import Graph, Instance, Variant, enumerate_triangles, triangle_edges
 from trikernel.oracle import (
     OracleBudgetError,
@@ -32,17 +34,23 @@ def exhaustive_max_packing(g: Graph) -> int:
 
 
 def exhaustive_min_cover(g: Graph) -> int:
-    """Independent oracle: try every edge subset, smallest first."""
-    edges = g.edges()
-    tris = enumerate_triangles(g)
-    if not tris:
-        return 0
-    for size in range(0, len(edges) + 1):
-        for chosen in combinations(edges, size):
-            removed = set(chosen)
-            if all(any(e in removed for e in triangle_edges(t)) for t in tris):
-                return size
-    return len(edges)
+    """Independent oracle: unbounded iterative deepening.  For size 0, 1,
+    2, ... branch on each edge of the first unhit triangle, with no bound;
+    every cover holds an edge of every triangle, so the first size that
+    succeeds is the minimum.  (Trying every edge subset smallest first takes
+    seconds on K7, whose cover needs 9 of 21 edges.)"""
+    tris = [triangle_edges(t) for t in enumerate_triangles(g)]
+
+    def covers(size: int, removed: frozenset) -> bool:
+        unhit = next((t for t in tris if removed.isdisjoint(t)), None)
+        if unhit is None:
+            return True
+        return size > 0 and any(covers(size - 1, removed | {e}) for e in unhit)
+
+    size = 0
+    while not covers(size, frozenset()):
+        size += 1
+    return size
 
 
 class TestPackingSolver:
@@ -96,6 +104,62 @@ class TestCoverSolver:
         res = solve_etc_exact(g, limit=2)
         assert res.optimum == 3 and not res.exact and res.witness is None
         assert solve_etc_exact(g).optimum == 4
+
+
+class TestLimitContract:
+    """The capped-solve contract ``decide`` relies on, for every ``limit``."""
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_every_limit(self, g):
+        packing, cover = exhaustive_max_packing(g), exhaustive_min_cover(g)
+        for limit in range(g.m + 1):
+            res = solve_etp_exact(g, limit=limit, budget=False)
+            assert (res.optimum > limit) == (packing > limit)
+            assert res.exact == (packing <= limit)
+            assert res.optimum <= packing and len(res.witness) == res.optimum
+            if res.exact:
+                assert res.optimum == packing
+
+            res = solve_etc_exact(g, limit=limit, budget=False)
+            assert (res.optimum <= limit) == (cover <= limit)
+            if cover <= limit + 1:
+                # a cover of exactly limit + 1 is reported once found
+                assert (res.optimum, res.exact) == (cover, True)
+                removed = set(res.witness)
+                assert len(removed) == cover
+                assert all(removed.intersection(triangle_edges(t))
+                           for t in enumerate_triangles(g))
+            else:
+                assert (res.optimum, res.exact, res.witness) == (
+                    limit + 1, False, None)
+
+
+class TestDenseGraphs:
+    """16-vertex Erdős–Rényi graphs on which the recursive searches ran for
+    20 s to minutes; each solve here takes well under 2 s."""
+
+    def test_no_recursion_limit(self):
+        g = generate(GenSpec("erdos_renyi", 1, n=16, p=0.6))
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 12)
+        try:
+            packing = solve_etp_exact(g, budget=False).optimum
+            cover = solve_etc_exact(g, budget=False).optimum
+        finally:
+            sys.setrecursionlimit(old)
+        assert (packing, cover) == (20, 22)
+
+    def test_p06(self):
+        g = generate(GenSpec("erdos_renyi", 0, n=16, p=0.6))
+        assert solve_etp_exact(g, budget=False).optimum == 25
+        assert solve_etc_exact(g, budget=False).optimum == 29
+
+    def test_p08_packing_meets_its_degree_bound(self):
+        g = generate(GenSpec("erdos_renyi", 0, n=16, p=0.8))
+        res = solve_etp_exact(g, budget=False)
+        assert res.optimum == 33 == sum(g.degree(v) // 2 for v in g.adj) // 3
+        assert res.exact
 
 
 class TestDecide:
