@@ -194,11 +194,14 @@ class AuditReport:
         }, indent=1, default=str)
 
 
-def step4_and_report(g: Graph, s: TrianglePacking, cs: ChargeState,
-                     k: int | None = None, conservation_ok: bool = True,
-                     lemma7_violations: list | None = None) -> AuditReport:
-    """Final payout plus every lemma check, bundled into a report."""
-    cls = cs.classification
+def step4_and_report(cs: ChargeState, k: int, conservation_ok: bool,
+                     lemma7_violations: list) -> AuditReport:
+    """Final payout plus every lemma check, bundled into a report.
+
+    ``lemma7_violations`` is :func:`check_component_zeros` taken right after
+    step 2, the only point where its check is valid.
+    """
+    g, s, cls = cs.graph, cs.packing, cs.classification
     checks: list[AuditCheck] = []
 
     def add(name: str, passed: bool, witness: object = None) -> None:
@@ -209,8 +212,6 @@ def step4_and_report(g: Graph, s: TrianglePacking, cs: ChargeState,
         {"multi_label": cls.multi_label_violations,
          "labeled": len(cls.labeled), "good": cls.k1 + cls.k2})
 
-    if lemma7_violations is None:
-        lemma7_violations = check_component_zeros(cs)
     add("lemma7_component_zeros", not lemma7_violations, lemma7_violations)
 
     v2_zeros = sorted(v for v in cls.v2 if cs.vertex_value[v] == 0)
@@ -255,21 +256,18 @@ def step4_and_report(g: Graph, s: TrianglePacking, cs: ChargeState,
     add("charge_conservation", conservation_ok and total == 3 * size,
         {"total": total, "packing": size, "steps_conserved": conservation_ok})
     add("final_bound",
-        min_value >= 1 and n <= 3 * size and (k is None or n <= 3 * k),
+        min_value >= 1 and n <= 3 * size and n <= 3 * k,
         {"n": n, "packing": size, "min_value": min_value, "k": k})
 
     counters = {
         "n": n, "m": g.m, "packing": size,
         "k1": cls.k1, "k2": cls.k2, "k3": cls.k3,
-        "labeled": len(cls.labeled), "free": len(free),
+        "labeled": len(cls.labeled), "free": len(free), "k": k,
     }
-    if k is not None:
-        counters["k"] = k
     return AuditReport(checks, counters)
 
 
-def audit_instance(g: Graph, s: TrianglePacking,
-                   k: int | None = None) -> AuditReport:
+def audit_instance(g: Graph, s: TrianglePacking, k: int) -> AuditReport:
     """Run the whole discharging pipeline on a (presumed reduced) instance."""
     cls = classify_triangles(g, s, labeled_edges(g, s))
     cs = init_charges(g, s, cls)
@@ -281,5 +279,4 @@ def audit_instance(g: Graph, s: TrianglePacking,
     lemma7 = check_component_zeros(cs)
     step3(cs)
     conserved = conserved and cs.total() == start
-    return step4_and_report(g, s, cs, k=k, conservation_ok=conserved,
-                            lemma7_violations=lemma7)
+    return step4_and_report(cs, k, conserved, lemma7)

@@ -24,23 +24,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, GraphError, edge_key, spanned_edges
+from .graph import Edge, Graph, GraphError, edge_key, packs, spanned_edges, triangle_key
 
 
 @dataclass
 class SpanBipartiteGraph:
-    """Left: candidate crown vertices; right: candidate head edges.
-
-    A vertex of ``source_vertices`` makes the left side only if it has no
-    neighbor inside ``source_vertices``, spans at least one edge of
-    ``source_edges``, and spans nothing outside ``source_edges`` (a vertex
-    spanning a foreign edge can never sit in a crown whose head is restricted
-    to ``source_edges``, so dropping it loses no decomposition).
-    """
+    """Left: candidate crown vertices; right: candidate head edges."""
 
     graph: Graph
-    source_vertices: set[int]
-    source_edges: set[Edge]
     left: list[int]
     right: list[Edge]
     adj: dict[int, list[Edge]]
@@ -48,6 +39,12 @@ class SpanBipartiteGraph:
 
 def build_span_bipartite(g: Graph, vertices: set[int],
                          edges: set[Edge]) -> SpanBipartiteGraph:
+    """A vertex of ``vertices`` makes the left side only if it has no
+    neighbor inside ``vertices``, spans at least one edge of ``edges``, and
+    spans nothing outside ``edges`` (a vertex spanning a foreign edge can
+    never sit in a crown whose head is restricted to ``edges``, so dropping
+    it loses no decomposition).
+    """
     edges = {edge_key(*e) for e in edges}
     endpoint = {v for e in edges for v in e}
     if vertices & endpoint:
@@ -63,7 +60,7 @@ def build_span_bipartite(g: Graph, vertices: set[int],
         left.append(a)
         adj[a] = spanned
     right = sorted({e for sp in adj.values() for e in sp})
-    return SpanBipartiteGraph(g, set(vertices), edges, left, right, adj)
+    return SpanBipartiteGraph(g, left, right, adj)
 
 
 def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
@@ -132,7 +129,6 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
 class FatHeadCrown:
     crown: set[int]           # C
     head: set[Edge]           # H
-    rest: set[int]            # X = V minus C
     witness: list[tuple[int, Edge]]  # P: (crown vertex, head edge) pairs
 
 
@@ -145,8 +141,7 @@ def _assemble(b: SpanBipartiteGraph, crown: set[int],
         if c is None or c not in crown:
             return None
         witness.append((c, e))
-    rest = b.graph.vertex_set() - crown
-    return FatHeadCrown(set(crown), head, rest, witness)
+    return FatHeadCrown(set(crown), head, witness)
 
 
 def extract_crown(b: SpanBipartiteGraph,
@@ -225,26 +220,11 @@ def verify_crown(g: Graph, fc: FatHeadCrown) -> bool:
     for c in fc.crown:
         if g.adj[c] - head_vertices:
             return False
-    # 4: witness packing saturates the head with edge-disjoint triangles
-    if len(fc.witness) != len(fc.head):
+    # 4: the witness takes each head edge once, through a crown vertex, and
+    # its triangles pack.  By 1 and 2 no triangle holds a second crown vertex
+    # or head edge: either would make two crown vertices adjacent.
+    if (len(fc.witness) != len(fc.head)
+            or {e for _, e in fc.witness} != fc.head
+            or any(c not in fc.crown for c, _ in fc.witness)):
         return False
-    used_heads: set[Edge] = set()
-    used_edges: set[Edge] = set()
-    for c, e in fc.witness:
-        u, w = e
-        if c not in fc.crown or e not in fc.head or e in used_heads:
-            return False
-        if not (g.has_edge(u, w) and c in g.adj[u] and c in g.adj[w]):
-            return False
-        tri = {e, edge_key(c, u), edge_key(c, w)}
-        if tri & used_edges:
-            return False
-        used_heads.add(e)
-        used_edges.update(tri)
-        # exactly one crown vertex and one head edge per witness triangle
-        if u in fc.crown or w in fc.crown:
-            return False
-        if edge_key(c, u) in fc.head or edge_key(c, w) in fc.head:
-            return False
-    return True
-
+    return packs(g, [triangle_key(c, *e) for c, e in fc.witness])

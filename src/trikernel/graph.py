@@ -117,12 +117,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def common_neighbors(self, u: int, v: int) -> set[int]:
         return self.adj[u] & self.adj[v]
 
@@ -236,6 +230,40 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
                 if w > v:
                     out.append((u, v, w))
     return out
+
+
+# -- packing and cover validity ----------------------------------------------
+#
+# The two problems rest on these two facts; every packing, witness and
+# crown in the package is judged by them.
+
+
+def in_triangle_avoiding(g: Graph, e: Edge, avoid) -> bool:
+    """Does ``e`` lie in a triangle of ``g`` whose two other edges are
+    outside ``avoid`` (a set or dict of canonical edges)?"""
+    u, v = e
+    for w in g.adj[u] & g.adj[v]:
+        if edge_key(u, w) not in avoid and edge_key(v, w) not in avoid:
+            return True
+    return False
+
+
+def packs(g: Graph, triangles: Iterable[Triangle]) -> bool:
+    """The canonical ``triangles`` are triangles of ``g`` and share no edge."""
+    used: set[Edge] = set()
+    for t in triangles:
+        for e in triangle_edges(t):
+            if e in used or not g.has_edge(*e):
+                return False
+            used.add(e)
+    return True
+
+
+def covers(g: Graph, edges) -> bool:
+    """Every triangle of ``g`` has an edge in ``edges`` (a set or dict of
+    canonical edges)."""
+    return not any(e not in edges and in_triangle_avoiding(g, e, edges)
+                   for e in g.iter_edges())
 
 
 # -- parsing / serialization -------------------------------------------------

@@ -32,10 +32,13 @@ from dataclasses import dataclass
 from .graph import (
     Edge,
     Graph,
+    GraphError,
     Instance,
     Triangle,
     Variant,
+    covers,
     enumerate_triangles,
+    packs,
     triangle_edges,
 )
 
@@ -131,7 +134,9 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
 
     triangle_of = dict(zip(masks, triangles))
     witness = sorted(triangle_of[m] for m in best_set)
-    _assert_valid_packing(g, witness, best)
+    if len(witness) != best or not packs(g, witness):
+        raise GraphError(f"packing witness {witness} is not {best} "
+                         "edge-disjoint triangles")
     return OracleResult(best, witness, exact)
 
 
@@ -209,7 +214,9 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         # Nothing of size <= limit + 1 exists; only a lower bound is known.
         return OracleResult(cap - 1, None, False)
     witness = sorted(edge_of_bit[1 << i] for i in range(len(bit)) if best >> i & 1)
-    _assert_valid_cover(g, witness, cap)
+    if len(witness) != cap or not covers(g, set(witness)):
+        raise GraphError(f"cover witness {witness} is not {cap} edges "
+                         "meeting every triangle")
     return OracleResult(cap, witness, True)
 
 
@@ -255,26 +262,3 @@ def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:
         return False, None
     res = solve_etc_exact(inst.graph, limit=inst.k, budget=budget)
     return (True, res.witness) if res.optimum <= inst.k else (False, None)
-
-
-def _assert_valid_packing(g: Graph, triangles: list[Triangle], count: int) -> None:
-    assert len(triangles) == count
-    seen: set[Edge] = set()
-    for t in triangles:
-        for e in triangle_edges(t):
-            assert g.has_edge(*e) and e not in seen
-            seen.add(e)
-
-
-def _assert_valid_cover(g: Graph, edges: list[Edge], count: int) -> None:
-    assert len(edges) == count
-    removed = set(edges)
-    for e in removed:
-        assert g.has_edge(*e)
-    for u, v in g.iter_edges():
-        if (u, v) in removed:
-            continue
-        for w in g.common_neighbors(u, v):
-            uw = (u, w) if u < w else (w, u)
-            vw = (v, w) if v < w else (w, v)
-            assert uw in removed or vw in removed, "cover misses a triangle"

@@ -17,7 +17,8 @@ from .graph import (
     Graph,
     GraphError,
     Triangle,
-    edge_key,
+    in_triangle_avoiding,
+    packs,
     triangle_edges,
     triangle_key,
 )
@@ -34,9 +35,6 @@ class TrianglePacking:
 
     def __len__(self) -> int:
         return len(self.triangles)
-
-    def __contains__(self, t: Triangle) -> bool:
-        return self.edge_index.get(triangle_edges(t)[0]) == t
 
     def copy(self) -> "TrianglePacking":
         s = TrianglePacking()
@@ -58,9 +56,6 @@ class TrianglePacking:
         for e in triangle_edges(t):
             del self.edge_index[e]
 
-    def edge_set(self) -> set[Edge]:
-        return set(self.edge_index)
-
     def vertex_set(self) -> set[int]:
         return {v for t in self.triangles for v in t}
 
@@ -69,27 +64,11 @@ class TrianglePacking:
 
     def validate(self, g: Graph) -> None:
         """Raise unless this is a well-formed packing on ``g``."""
-        seen: set[Edge] = set()
-        for t in self.triangles:
-            for e in triangle_edges(t):
-                if not g.has_edge(*e):
-                    raise GraphError(f"packed edge {e} missing from graph")
-                if e in seen:
-                    raise GraphError(f"edge {e} shared by two packed triangles")
-                seen.add(e)
-        if seen != set(self.edge_index):
+        if not packs(g, self.triangles):
+            raise GraphError("packed triangles leave the graph or share an edge")
+        if set(self.edge_index) != {e for t in self.triangles
+                                    for e in triangle_edges(t)}:
             raise GraphError("edge index out of sync with triangle list")
-
-    def is_maximal(self, g: Graph) -> bool:
-        packed = self.edge_index
-        for u, v in g.iter_edges():
-            if (u, v) in packed:
-                continue
-            for w in g.common_neighbors(u, v):
-                if (edge_key(u, w) not in packed
-                        and edge_key(v, w) not in packed):
-                    return False
-        return True
 
 
 def greedy_maximal_packing(g: Graph) -> TrianglePacking:
@@ -194,15 +173,6 @@ class TriangleClassification:
         return None
 
 
-def _edge_in_triangle_without(g: Graph, e: Edge, removed: set[Edge]) -> bool:
-    """Does ``e`` lie in a triangle of ``g`` minus the ``removed`` edges?"""
-    u, v = e
-    for w in g.common_neighbors(u, v):
-        if edge_key(u, w) not in removed and edge_key(v, w) not in removed:
-            return True
-    return False
-
-
 def classify_triangles(g: Graph, s: TrianglePacking,
                        labeled: set[Edge]) -> TriangleClassification:
     cls = TriangleClassification(labeled=set(labeled))
@@ -214,7 +184,7 @@ def classify_triangles(g: Graph, s: TrianglePacking,
         if len(tagged) > 1:
             cls.multi_label_violations.append(t)
         plain = [e for e in triangle_edges(t) if e not in labeled]
-        if any(_edge_in_triangle_without(g, e, labeled) for e in plain):
+        if any(in_triangle_avoiding(g, e, labeled) for e in plain):
             cls.pretty_good.append(t)
         else:
             cls.excellent.append(t)
@@ -234,14 +204,8 @@ class ComponentIndex:
     component_of: dict[int, int]
     members: dict[int, list[int]]
 
-    def of(self, v: int) -> int:
-        return self.component_of[v]
-
     def component_vertices(self, v: int) -> list[int]:
         return self.members[self.component_of[v]]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 def triangle_components(s: TrianglePacking) -> ComponentIndex:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .crown import (
     FatHeadCrown,
@@ -52,7 +52,9 @@ from .graph import (
     Instance,
     Triangle,
     Variant,
+    covers,
     edge_key,
+    packs,
     triangle_edges,
     triangle_key,
 )
@@ -394,26 +396,18 @@ def _pair_candidates(
     return sorted(cands)
 
 
-def _find_disjoint(cands: list[Triangle], need: int) -> list[Triangle] | None:
-    """Lexicographically first ``need`` pairwise edge-disjoint triangles."""
+def _first_disjoint_triple(cands: list[Triangle]) -> list[Triangle] | None:
+    """Lexicographically first three pairwise edge-disjoint triangles."""
     sets = [frozenset(triangle_edges(t)) for t in cands]
-    chosen: list[Triangle] = []
-
-    def descend(start: int, used: frozenset) -> bool:
-        if len(chosen) == need:
-            return True
-        for i in range(start, len(cands)):
-            if len(cands) - i < need - len(chosen):
-                return False
-            if used & sets[i]:
+    for i, a in enumerate(sets):
+        for j in range(i + 1, len(cands)):
+            if a & sets[j]:
                 continue
-            chosen.append(cands[i])
-            if descend(i + 1, used | sets[i]):
-                return True
-            chosen.pop()
-        return False
-
-    return list(chosen) if descend(0, frozenset()) else None
+            ab = a | sets[j]
+            for h in range(j + 1, len(cands)):
+                if not ab & sets[h]:
+                    return [cands[i], cands[j], cands[h]]
+    return None
 
 
 def _sharing_pairs(tris: list[Triangle]):
@@ -444,10 +438,7 @@ def find_augment_two(
     tris = s.sorted_triangles()
     for i, j in _sharing_pairs(tris):
         t1, t2 = tris[i], tris[j]
-        cands = _pair_candidates(g, s, t1, t2, spanners)
-        if len(cands) < 3:
-            continue
-        found = _find_disjoint(cands, 3)
+        found = _first_disjoint_triple(_pair_candidates(g, s, t1, t2, spanners))
         if found is not None:
             return t1, t2, found
     return None
@@ -674,9 +665,8 @@ def replay_trace(g: Graph, trace: Sequence[RuleEvent]) -> Graph:
     out = g.copy()
     for i, ev in enumerate(trace):
         if ev.rule == "R9":
-            crown = set(ev.crown_vertices)
-            fc = FatHeadCrown(crown, {edge_key(*e) for e in ev.head_edges},
-                              out.vertex_set() - crown,
+            fc = FatHeadCrown(set(ev.crown_vertices),
+                              {edge_key(*e) for e in ev.head_edges},
                               [(c, edge_key(*e)) for c, e in ev.crown_witness])
             if not verify_crown(out, fc):
                 raise GraphError(f"trace event {i}: R9 crown {ev.crown_vertices} "
@@ -753,29 +743,23 @@ def lift_solution(trace: Sequence[RuleEvent], reduced_solution: Sequence,
 # -- solution validation -------------------------------------------------------
 
 
-def is_valid_packing_solution(g: Graph, triangles: Sequence[Triangle], k: int) -> bool:
-    """At least ``k`` pairwise edge-disjoint triangles of ``g``."""
-    used: set[Edge] = set()
-    for t in triangles:
-        for e in triangle_edges(triangle_key(*t)):
-            if not g.has_edge(*e) or e in used:
-                return False
-            used.add(e)
-    return len(triangles) >= k
-
-
-def is_valid_cover_solution(g: Graph, edges: Sequence[Edge], k: int) -> bool:
-    """At most ``k`` edges of ``g`` whose removal leaves it triangle-free."""
-    removed = {edge_key(*e) for e in edges}
-    if len(removed) != len(list(edges)) or len(removed) > k:
+def is_valid_packing_solution(g: Graph, triangles: Iterable[Triangle], k: int) -> bool:
+    """At least ``k`` pairwise edge-disjoint triangles of ``g``; ``False``,
+    never an exception, when a triangle is malformed."""
+    try:
+        canon = [triangle_key(*t) for t in triangles]
+    except (GraphError, TypeError):
         return False
-    for e in removed:
-        if not g.has_edge(*e):
-            return False
-    for u, v in g.iter_edges():
-        if (u, v) in removed:
-            continue
-        for w in g.common_neighbors(u, v):
-            if edge_key(u, w) not in removed and edge_key(v, w) not in removed:
-                return False
-    return True
+    return len(canon) >= k and packs(g, canon)
+
+
+def is_valid_cover_solution(g: Graph, edges: Iterable[Edge], k: int) -> bool:
+    """At most ``k`` distinct edges of ``g`` whose removal leaves it
+    triangle-free; ``False``, never an exception, when an edge is malformed."""
+    try:
+        canon = [edge_key(*e) for e in edges]
+    except (GraphError, TypeError):
+        return False
+    removed = set(canon)
+    return (len(removed) == len(canon) <= k
+            and all(g.has_edge(*e) for e in removed) and covers(g, removed))

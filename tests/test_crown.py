@@ -147,7 +147,7 @@ def brute_force_crowns(g: Graph, candidates: set, heads: set) -> list:
             crown = set(chosen)
             spanned = set()
             for c in crown:
-                for u, w in combinations(sorted(g.neighbors(c)), 2):
+                for u, w in combinations(sorted(g.adj[c]), 2):
                     if g.has_edge(u, w):
                         spanned.add((u, w))
             if not spanned or not spanned.issubset(heads):
@@ -157,8 +157,7 @@ def brute_force_crowns(g: Graph, candidates: set, heads: set) -> list:
                 pairs = list(zip(perm, sorted(spanned)))
                 if all(g.has_edge(c, e[0]) and g.has_edge(c, e[1])
                        for c, e in pairs):
-                    fc = FatHeadCrown(crown, set(spanned),
-                                      g.vertex_set() - crown, pairs)
+                    fc = FatHeadCrown(crown, set(spanned), pairs)
                     if verify_crown(g, fc):
                         found.append(fc)
                     break
@@ -218,7 +217,7 @@ class TestExtractCrown:
 class TestVerifyCrown:
     def _good(self):
         g = spanned_triangle(2)
-        fc = FatHeadCrown({3, 4}, {(0, 1)}, {0, 1, 2}, [(3, (0, 1))])
+        fc = FatHeadCrown({3, 4}, {(0, 1)}, [(3, (0, 1))])
         return g, fc
 
     def test_constructed_crown_verifies(self):
@@ -243,7 +242,7 @@ class TestVerifyCrown:
     def test_empty_head_is_rejected(self):
         g = Graph.from_edges([(0, 1)])
         g.add_vertex(5)
-        assert not verify_crown(g, FatHeadCrown({5}, set(), {0, 1}, []))
+        assert not verify_crown(g, FatHeadCrown({5}, set(), []))
 
 
 def apply_crown_event(inst: Instance, fc: FatHeadCrown) -> Instance:
@@ -277,7 +276,7 @@ class TestApplyCrown:
     def test_packed_vertex_may_join_the_crown(self):
         # the triangle's own far vertex spans the head edge and is deletable
         g = spanned_triangle(2)
-        fc = FatHeadCrown({2, 3, 4}, {(0, 1)}, {0, 1}, [(2, (0, 1))])
+        fc = FatHeadCrown({2, 3, 4}, {(0, 1)}, [(2, (0, 1))])
         assert verify_crown(g, fc)
         red = apply_crown_event(Instance(g, 1, Variant.ETP), fc)
         assert red.k == 0 and red.graph.vertex_set() == {0, 1}

@@ -8,10 +8,14 @@ from trikernel.graph import (
     Graph,
     GraphError,
     ParseError,
+    covers,
     dump_edgelist,
     enumerate_triangles,
+    in_triangle_avoiding,
     load_graph,
+    packs,
     spanned_edges,
+    triangle_edges,
     triangle_key,
 )
 
@@ -121,6 +125,28 @@ class TestTriangles:
             assert enumerate_triangles(g) == brute_force_triangles(g)
 
 
+class TestPacksAndCovers:
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=150)
+    def test_match_brute_force(self, g, data):
+        triangles = enumerate_triangles(g)
+        # every vertex triple, plus the real triangles a second time
+        pool = triangles + list(combinations(g.vertices(), 3))
+        chosen = data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+        disjoint = all(not set(triangle_edges(a)) & set(triangle_edges(b))
+                       for a, b in combinations(chosen, 2))
+        assert packs(g, chosen) == (set(chosen) <= set(triangles) and disjoint)
+
+        edges = g.edges()
+        hit = set(data.draw(st.lists(st.sampled_from(edges), unique=True))
+                  if edges else [])
+        assert covers(g, hit) == all(set(triangle_edges(t)) & hit for t in triangles)
+        for e in edges:
+            assert in_triangle_avoiding(g, e, hit) == any(
+                e in triangle_edges(t) and len(set(triangle_edges(t)) & hit - {e}) == 0
+                for t in triangles)
+
+
 class TestSpans:
     def test_k3_apex(self):
         assert (1, 2) in spanned_edges(complete_graph(3), 0)
@@ -217,6 +243,6 @@ class TestGraphBasics:
     @given(graphs(max_n=8))
     def test_adjacency_is_symmetric(self, g):
         for u in g.vertices():
-            for v in g.neighbors(u):
-                assert u in g.neighbors(v)
-        assert sum(g.degree(v) for v in g.vertices()) == 2 * g.m
+            for v in g.adj[u]:
+                assert u in g.adj[v]
+        assert sum(len(g.adj[v]) for v in g.vertices()) == 2 * g.m

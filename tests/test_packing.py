@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trikernel.graph import Graph, enumerate_triangles, triangle_edges
+from trikernel.graph import Graph, covers, enumerate_triangles, triangle_edges
 from trikernel.packing import (
     TrianglePacking,
     classify_triangles,
@@ -33,8 +33,8 @@ class TestGreedyPacking:
     def test_result_is_maximal_and_valid(self, g):
         s = greedy_maximal_packing(g)
         s.validate(g)
-        assert s.is_maximal(g)
-        packed = s.edge_set()
+        assert covers(g, s.edge_index)
+        packed = set(s.edge_index)
         for t in enumerate_triangles(g):
             assert any(e in packed for e in triangle_edges(t))
 
@@ -57,7 +57,7 @@ class TestGreedyPacking:
                     g.add_edge(u, v)
             s = greedy_maximal_packing(g)
             s.validate(g)
-            packed = s.edge_set()
+            packed = set(s.edge_index)
             for t in enumerate_triangles(g):
                 assert any(e in packed for e in triangle_edges(t))
 
@@ -84,7 +84,7 @@ class TestRemaximalize:
         g = complete_graph(4)
         s = TrianglePacking()
         s.add((0, 2, 3))  # not the greedy-first triangle
-        assert (0, 2, 3) in remaximalize(g, s, g.edges())
+        assert (0, 2, 3) in remaximalize(g, s, g.edges()).triangles
 
 
 def enumerated_greedy(g: Graph, s: TrianglePacking) -> TrianglePacking:
@@ -120,7 +120,7 @@ class TestIncrementalUpkeep:
         freed = [e for t in dropped for e in triangle_edges(t)]
         delta = remaximalize(g, s.copy(), freed)
         assert delta.triangles == enumerated_greedy(g, s.copy()).triangles
-        assert delta.is_maximal(g)
+        assert covers(g, delta.edge_index)
 
 
 class TestLabeledEdges:
@@ -139,7 +139,7 @@ class TestLabeledEdges:
         g = complete_graph(4)
         s = greedy_maximal_packing(g)
         expected = {e for e in s.edge_index
-                    if set(e).issubset(g.neighbors(3))}
+                    if set(e).issubset(g.adj[3])}
         assert expected == {(0, 1), (0, 2), (1, 2)}
         assert labeled_edges(g, s) == expected
 
@@ -197,16 +197,16 @@ class TestClassification:
 class TestComponents:
     def test_disjoint_triangles_make_two(self):
         idx = triangle_components(greedy_maximal_packing(disjoint_triangles(2)))
-        assert len(idx) == 2
-        assert idx.of(0) != idx.of(3)
+        assert len(idx.members) == 2
+        assert idx.component_of[0] != idx.component_of[3]
 
     def test_shared_vertex_joins(self):
         s = TrianglePacking()
         s.add((0, 1, 2))
         s.add((2, 3, 4))
         idx = triangle_components(s)
-        assert len(idx) == 1
+        assert len(idx.members) == 1
         assert idx.component_vertices(0) == [0, 1, 2, 3, 4]
 
     def test_empty_packing(self):
-        assert len(triangle_components(TrianglePacking())) == 0
+        assert len(triangle_components(TrianglePacking()).members) == 0

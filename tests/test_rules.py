@@ -12,6 +12,7 @@ from trikernel.graph import (
     GraphError,
     Instance,
     Variant,
+    covers,
     enumerate_triangles,
     triangle_edges,
 )
@@ -572,7 +573,7 @@ class TestKernelize:
                 seen += 1
                 red, s = out.instance, out.packing
                 s.validate(red.graph)
-                assert s.is_maximal(red.graph)
+                assert covers(red.graph, s.edge_index)
                 assert terminal_verdict(red.graph, red.k, red.variant) is None
                 assert find_prunable(red.graph) is None
                 assert find_exclusive_k4(red.graph) is None
@@ -658,3 +659,21 @@ class TestLiftSolution:
                     assert is_valid_packing_solution(g, witness, k)
                 else:
                     assert is_valid_cover_solution(g, witness, k)
+
+
+class TestSolutionValidators:
+    @pytest.mark.parametrize("validator, witness, k, expected", [
+        (is_valid_packing_solution, lambda: [(1, 1, 2)], 1, False),
+        (is_valid_packing_solution, lambda: [(0, 1)], 1, False),
+        (is_valid_packing_solution, lambda: [(2, 0, 1)], 1, True),
+        (is_valid_packing_solution, lambda: (t for t in [(0, 1, 2)]), 1, True),
+        (is_valid_cover_solution, lambda: [(1, 1)], 1, False),
+        (is_valid_cover_solution, lambda: [(0, 1, 2)], 1, False),
+        (is_valid_cover_solution, lambda: [(1, 0), (0, 1)], 2, False),
+        (is_valid_cover_solution, lambda: (e for e in [(0, 1)]), 1, True),
+    ], ids=["degenerate-triangle", "short-triangle", "unsorted-triangle",
+            "triangle-generator", "self-loop", "long-edge", "repeated-edge",
+            "edge-generator"])
+    def test_malformed_witness_is_false_and_read_once(self, validator, witness,
+                                                      k, expected):
+        assert validator(complete_graph(3), witness(), k) is expected
