@@ -5,8 +5,8 @@ Subcommands: ``kernelize`` (reduce one instance and dump trace/stats),
 ``verify`` (corpus equivalence between kernelized and exact decisions), and
 ``audit`` (discharging certificate for the reduced instance).
 
-Exit codes: 0 success, 1 property failure (mismatch or failed audit),
-2 input error, 3 exact-solver budget refusal.
+Exit codes: 0 success, 1 property failure (mismatch, failed audit or a
+broken internal invariant), 2 input error, 3 exact-solver budget refusal.
 """
 
 from __future__ import annotations
@@ -146,10 +146,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _decision_via_kernel(inst: Instance) -> bool:
-    return finish(kernelize(inst), inst.variant)[0]
-
-
 def _verify_one(payload: tuple[dict, int]) -> dict:
     """Worker: compare kernelized and exact decisions on one instance."""
     spec_data, max_n = payload
@@ -167,9 +163,8 @@ def _verify_one(payload: tuple[dict, int]) -> dict:
             Variant.ETC: etc_opt.optimum <= k,
         }
         for variant in (Variant.ETP, Variant.ETC):
-            inst = Instance(g.copy(), k, variant)
             try:
-                got = _decision_via_kernel(inst)
+                got = finish(kernelize(Instance(g, k, variant)), variant)[0]
             except OracleBudgetError:
                 got = None
             result["checked"] += 1
@@ -299,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_INPUT
     except OracleBudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
+    except GraphError as exc:
+        # input errors were reported by _read_instance; this one is a check
+        # the program made on itself (a packing, a split, a replay)
+        return _fail(f"internal invariant failed: {exc}", EXIT_PROPERTY)
 
 
 if __name__ == "__main__":

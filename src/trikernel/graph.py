@@ -55,15 +55,19 @@ class Graph:
 
     Mutators operate in place; the owner of a ``Graph`` is responsible for
     copying before handing it to anyone else (query methods never mutate, so
-    concurrent readers are safe).
+    concurrent readers are safe).  Change a graph only through its mutators:
+    they keep ``m`` and ``version``, the count of changes made to this
+    object (a copy starts again at 0), which lets a reader tell that a graph
+    it saw before is still the same.
     """
 
-    __slots__ = ("adj", "next_id", "_m")
+    __slots__ = ("adj", "next_id", "_m", "version")
 
     def __init__(self) -> None:
         self.adj: dict[int, set[int]] = {}
         self.next_id = 0
         self._m = 0
+        self.version = 0
 
     # -- construction -----------------------------------------------------
 
@@ -132,6 +136,7 @@ class Graph:
             raise GraphError(f"negative vertex id {v}")
         if v not in self.adj:
             self.adj[v] = set()
+            self.version += 1
         if v >= self.next_id:
             self.next_id = v + 1
         return v
@@ -144,6 +149,7 @@ class Graph:
             self.adj[u].add(v)
             self.adj[v].add(u)
             self._m += 1
+            self.version += 1
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -151,6 +157,7 @@ class Graph:
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         self._m -= 1
+        self.version += 1
 
     def remove_vertex(self, v: int) -> list[Edge]:
         """Delete ``v`` and its incident edges; returns the removed edges."""
@@ -161,6 +168,7 @@ class Graph:
             self.adj[u].discard(v)
         self._m -= len(removed)
         del self.adj[v]
+        self.version += 1
         return removed
 
     def split(self, v: int, part1: Iterable[Edge], part2: Iterable[Edge]) -> tuple[int, int]:
@@ -183,6 +191,7 @@ class Graph:
                 self.remove_edge(v, other)
                 self.add_edge(fresh, other)
         del self.adj[v]
+        self.version += 1
         return v1, v2
 
 
@@ -317,6 +326,12 @@ def _load_edgelist(text: str) -> Graph:
     return g
 
 
+# A DIMACS header makes the reader add vertices 1..n before any edge line, so
+# a few bytes of input could ask for any amount of memory (``p edge 200000 0``
+# already takes about 60 MB).  A header above this is refused.
+MAX_DIMACS_VERTICES = 100_000
+
+
 def _load_dimacs(text: str) -> Graph:
     g = Graph()
     declared: int | None = None
@@ -331,6 +346,10 @@ def _load_dimacs(text: str) -> Graph:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"expected 'p edge n m', got {raw.strip()!r}", lineno)
             declared = _parse_int(tokens[2], lineno)
+            if declared > MAX_DIMACS_VERTICES:
+                raise ParseError(f"header declares {declared} vertices, more than "
+                                 f"the {MAX_DIMACS_VERTICES} this reader accepts",
+                                 lineno)
             for v in range(1, declared + 1):
                 g.add_vertex(v)
         elif tokens[0] == "e":

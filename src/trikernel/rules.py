@@ -21,6 +21,20 @@ the scan goes on with R3.  After a swap only the triangles through edges
 the swap freed can join the packing, and re-maximalization tries just
 those.
 
+Only Rules 1 and 5 read ``k``, and they only end a run, so the runs on one
+graph and variant at every ``k`` are prefixes of one k-free run.
+:func:`kernelize` drives that run as a generator that pauses at each Rule 1
+and Rule 5 test, and answers a ``k`` at the first test that ends its run.
+Each thread keeps the runs of the last graph it was given, one per variant:
+a reference to the caller's graph (a copy of the input is not kept; the
+graph's mutation count shows that it is unchanged), the working graph and
+packing where the run paused, its trace, and the recorded stop points with
+the packings an R5 stop hands out.  A later call on an equal graph answers
+from the recorded points or resumes the run; a call on another graph lets
+the kept runs go first.  Outcomes are built from copies and events are
+immutable, so no outcome shares mutable state with the kept runs or with
+another outcome.
+
 Rules 1 and 5 end the run with a verdict.  Every other application is a
 :class:`RuleEvent`: :func:`rule_event` builds it from the rule's finder, and
 :func:`apply_event` is the single mutator that performs it, on the graph
@@ -34,9 +48,10 @@ one.  :func:`finish` completes an outcome with the exact oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .crown import (
     FatHeadCrown,
@@ -73,24 +88,26 @@ _EVENT_FIELDS = {
 }
 
 
-@dataclass
-class RuleEvent:
-    """One rule application; carries enough payload for replay and lifting."""
+class RuleEvent(NamedTuple):
+    """One rule application; carries enough payload for replay and lifting.
+
+    An event is immutable (a named tuple of tuples), so traces share it.
+    """
 
     rule: str
     k_delta: int = 0
-    removed_vertices: list[int] = field(default_factory=list)
-    removed_edges: list[Edge] = field(default_factory=list)
+    removed_vertices: tuple[int, ...] = ()
+    removed_edges: tuple[Edge, ...] = ()
     split_vertex: int | None = None
-    split_part1: list[Edge] = field(default_factory=list)
-    split_part2: list[Edge] = field(default_factory=list)
+    split_part1: tuple[Edge, ...] = ()
+    split_part2: tuple[Edge, ...] = ()
     split_minted: tuple[int, int] | None = None
     quad: tuple[int, int, int, int] | None = None
-    crown_vertices: list[int] = field(default_factory=list)
-    head_edges: list[Edge] = field(default_factory=list)
-    crown_witness: list[tuple[int, Edge]] = field(default_factory=list)
-    packing_removed: list[Triangle] = field(default_factory=list)
-    packing_added: list[Triangle] = field(default_factory=list)
+    crown_vertices: tuple[int, ...] = ()
+    head_edges: tuple[Edge, ...] = ()
+    crown_witness: tuple[tuple[int, Edge], ...] = ()
+    packing_removed: tuple[Triangle, ...] = ()
+    packing_added: tuple[Triangle, ...] = ()
 
     def to_json(self) -> dict:
         out: dict = {"rule": self.rule, "k_delta": self.k_delta}
@@ -131,30 +148,33 @@ class RuleEvent:
         k_delta = data.get("k_delta", 0)
         if type(k_delta) is not int:
             raise ValueError(f"k_delta {k_delta!r} is not an integer")
-        ev = cls(rule=rule, k_delta=k_delta)
-        ev.removed_vertices = [_vertex(v)
-                               for v in _list(data, "removed_vertices", [])]
-        ev.removed_edges = [_ids(e, 2, "edge")
-                            for e in _list(data, "removed_edges", [])]
+        fields: dict = {
+            "removed_vertices": tuple(_vertex(v)
+                                      for v in _list(data, "removed_vertices", [])),
+            "removed_edges": tuple(_ids(e, 2, "edge")
+                                   for e in _list(data, "removed_edges", [])),
+        }
         if "split" in data:
             split = _object(data["split"], "split")
-            ev.split_vertex = _vertex(split["vertex"])
-            ev.split_part1 = [_ids(e, 2, "edge") for e in _list(split, "part1")]
-            ev.split_part2 = [_ids(e, 2, "edge") for e in _list(split, "part2")]
-            ev.split_minted = _ids(split["minted"], 2, "minted pair")  # type: ignore
+            fields.update(
+                split_vertex=_vertex(split["vertex"]),
+                split_part1=tuple(_ids(e, 2, "edge") for e in _list(split, "part1")),
+                split_part2=tuple(_ids(e, 2, "edge") for e in _list(split, "part2")),
+                split_minted=_ids(split["minted"], 2, "minted pair"))
         if "quad" in data:
-            ev.quad = _ids(data["quad"], 4, "quad")  # type: ignore[assignment]
+            fields["quad"] = _ids(data["quad"], 4, "quad")
         if "crown" in data:
             crowndata = _object(data["crown"], "crown")
-            ev.crown_vertices = [_vertex(v) for v in _list(crowndata, "vertices")]
-            ev.head_edges = [_ids(e, 2, "edge") for e in _list(crowndata, "head")]
-            ev.crown_witness = [_witness_pair(p)
-                                for p in _list(crowndata, "witness")]
-        ev.packing_removed = [_ids(t, 3, "triangle")
-                              for t in _list(data, "packing_removed", [])]
-        ev.packing_added = [_ids(t, 3, "triangle")
-                            for t in _list(data, "packing_added", [])]
-        return ev
+            fields.update(
+                crown_vertices=tuple(_vertex(v) for v in _list(crowndata, "vertices")),
+                head_edges=tuple(_ids(e, 2, "edge") for e in _list(crowndata, "head")),
+                crown_witness=tuple(_witness_pair(p)
+                                    for p in _list(crowndata, "witness")))
+        fields["packing_removed"] = tuple(_ids(t, 3, "triangle")
+                                          for t in _list(data, "packing_removed", []))
+        fields["packing_added"] = tuple(_ids(t, 3, "triangle")
+                                        for t in _list(data, "packing_added", []))
+        return cls(rule, k_delta, **fields)
 
 
 def _vertex(x: object) -> int:
@@ -226,17 +246,18 @@ class KernelOutcome:
 # -- individual rule finders -------------------------------------------------
 
 
-def terminal_verdict(g: Graph, k: int, variant: Variant) -> str | None:
-    """Rule 1.  'Empty' means edgeless: no edges, no triangles either way."""
+def terminal_verdict(m: int, k: int, variant: Variant) -> str | None:
+    """Rule 1 on a graph with ``m`` edges.  'Empty' means edgeless: no
+    edges, no triangles either way."""
     if variant is Variant.ETP:
         if k <= 0:
             return "yes"
-        if g.m == 0:
+        if m == 0:
             return "no"
     else:
         if k < 0:
             return "no"
-        if g.m == 0:
+        if m == 0:
             return "yes"
     return None
 
@@ -496,9 +517,10 @@ def find_crown(g: Graph, s: TrianglePacking,
 # -- rule events: one builder, one mutator ------------------------------------
 
 
-def threshold_verdict(s: TrianglePacking, k: int, variant: Variant) -> str | None:
-    """Rule 5.  More than ``k`` edge-disjoint triangles are already packed."""
-    if len(s) > k:
+def threshold_verdict(packed: int, k: int, variant: Variant) -> str | None:
+    """Rule 5.  More than ``k`` edge-disjoint triangles (``packed`` of them)
+    are already packed."""
+    if packed > k:
         return "yes" if variant is Variant.ETP else "no"
     return None
 
@@ -520,37 +542,41 @@ def rule_event(rule: str, g: Graph, variant: Variant,
         found = find_prunable(g)
         if found is not None:
             verts, edges = found
-            return RuleEvent("R2", removed_vertices=verts, removed_edges=edges)
+            return RuleEvent("R2", removed_vertices=tuple(verts),
+                             removed_edges=tuple(edges))
     elif rule == "R3":
         quad = find_exclusive_k4(g)
         if quad is not None:
             return RuleEvent("R3", k_delta=-1 if variant is Variant.ETP else -2,
-                             quad=quad, removed_edges=[edge_key(a, b) for a, b
-                                                       in combinations(quad, 2)])
+                             quad=quad, removed_edges=tuple(
+                                 edge_key(a, b) for a, b in combinations(quad, 2)))
     elif rule == "R4":
         found = find_splittable(g, after)
         if found is not None:
             v, part1, part2 = found
-            return RuleEvent("R4", split_vertex=v, split_part1=part1,
-                             split_part2=part2)
+            # Graph.split mints the next two ids
+            return RuleEvent("R4", split_vertex=v, split_part1=tuple(part1),
+                             split_part2=tuple(part2),
+                             split_minted=(g.next_id, g.next_id + 1))
     elif rule == "R6":
         found = find_augment_one(g, s, spanners)
         if found is not None:
             t, new = found
-            return RuleEvent("R6", packing_removed=[t], packing_added=new)
+            return RuleEvent("R6", packing_removed=(t,), packing_added=tuple(new))
     elif rule in ("R7", "R8"):
         finder = find_augment_two if rule == "R7" else find_revertex
         found = finder(g, s, spanners)
         if found is not None:
             t1, t2, new = found
-            return RuleEvent(rule, packing_removed=[t1, t2], packing_added=new)
+            return RuleEvent(rule, packing_removed=(t1, t2),
+                             packing_added=tuple(new))
     elif rule == "R9":
         fc = find_crown(g, s, labeled_edges(g, s))
         if fc is not None:
-            head = sorted(fc.head)
+            head = tuple(sorted(fc.head))
             return RuleEvent("R9", k_delta=-len(head),
-                             crown_vertices=sorted(fc.crown), head_edges=head,
-                             crown_witness=sorted(fc.witness))
+                             crown_vertices=tuple(sorted(fc.crown)), head_edges=head,
+                             crown_witness=tuple(sorted(fc.witness)))
     else:
         raise ValueError(f"{rule} yields a verdict, not an event")
     return None
@@ -562,8 +588,7 @@ def apply_event(g: Graph, ev: RuleEvent, s: TrianglePacking | None = None) -> No
     Graph events (R2-R4, R9) change ``g``; packing events (R6-R8) swap
     triangles in ``s`` and leave ``g`` alone (without ``s`` they do nothing,
     which is how replay treats them).  The caller moves ``k`` by
-    ``ev.k_delta``.  A split records the ids it mints on a fresh event and
-    must mint the recorded ids when the event is replayed.
+    ``ev.k_delta``.  A split must mint the ids its event names.
     """
     if ev.rule in ("R2", "R3"):
         for v in ev.removed_vertices:
@@ -572,10 +597,8 @@ def apply_event(g: Graph, ev: RuleEvent, s: TrianglePacking | None = None) -> No
             g.remove_edge(*e)
     elif ev.rule == "R4":
         minted = g.split(ev.split_vertex, ev.split_part1, ev.split_part2)
-        if ev.split_minted is None:
-            ev.split_minted = minted
-        elif minted != tuple(ev.split_minted):
-            raise GraphError(f"replay minted {minted}, trace says {ev.split_minted}")
+        if minted != ev.split_minted:
+            raise GraphError(f"split minted {minted}, the event says {ev.split_minted}")
     elif ev.rule == "R9":
         for v in ev.crown_vertices:
             g.remove_vertex(v)
@@ -596,21 +619,37 @@ _STRUCTURAL = ("R2", "R3", "R4")
 _RESCAN = {"R2": ("R3", "R4"), "R4": ("R4",)}
 
 
-def kernelize(inst: Instance) -> KernelOutcome:
-    g = inst.graph.copy()
-    k = inst.k
-    variant = inst.variant
-    trace: list[RuleEvent] = []
-    counters = {r: 0 for r in RULE_IDS}
+def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
+    """The fixpoint loop with no ``k``: it rewrites ``g`` in place, appends
+    every event to ``trace`` and yields each point where a run with some
+    ``k`` could end, as ``(rule, len(trace), offset, value)`` with
+    ``offset`` the sum of the ``k_delta`` so far:
+
+    * ``("R1", ..., m)`` at a Rule 1 test;
+    * ``("R5", ..., (|S|, S))`` at a Rule 5 test, ``S`` never to change;
+    * ``(None, ..., (g, S))`` at the fixpoint, after which it stops.
+
+    Rule 1 is tested only after events that move ``m`` or ``k``, so never
+    after a swap or a split: the test would repeat the one before it.
+    Rule 5 is recorded only at a new high of |S| since the last graph event:
+    ``k`` is fixed between graph events, so a lower or equal |S| cannot stop
+    a run that the earlier high let through.  Edgeless means every ``k``
+    stops.
+    """
+    offset = 0
     s: TrianglePacking | None = None
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
     after = None        # R4 scans only the vertices above this one
+    high = -1           # the largest |S| since the last graph event
+    recorded = None     # the packing the last R5 point holds
+    retest = True       # m or k may have moved since the last R1 test
 
     while True:
-        verdict = terminal_verdict(g, k, variant)
-        if verdict is not None:
-            counters["R1"] += 1
-            return KernelOutcome(verdict, None, s, trace, counters, "R1")
+        if retest:
+            retest = False
+            yield "R1", len(trace), offset, g.m
+            if g.m == 0:
+                return
 
         ev = None
         for rule in scan:
@@ -623,22 +662,25 @@ def kernelize(inst: Instance) -> KernelOutcome:
         if ev is None:
             if s is None:
                 s = greedy_maximal_packing(g)
-            verdict = threshold_verdict(s, k, variant)
-            if verdict is not None:
-                counters["R5"] += 1
-                return KernelOutcome(verdict, None, s, trace, counters, "R5")
+                high = -1
+            if len(s) > high:
+                high = len(s)
+                yield "R5", len(trace), offset, (high, s)
+                recorded = s
             spanners = _strict_spanners(g, s)
             ev = (rule_event("R6", g, variant, s, spanners)
                   or rule_event("R7", g, variant, s, spanners)
                   or rule_event("R8", g, variant, s, spanners)
                   or rule_event("R9", g, variant, s))
             if ev is None:
-                return KernelOutcome("reduced", Instance(g, k, variant), s,
-                                     trace, counters, None)
+                yield None, len(trace), offset, (g, s)
+                return
 
+        if ev.rule in SWAP_RULES and s is recorded:
+            s = s.copy()  # the recorded packing must not change
         covered = len(s.vertex_set()) if ev.rule == "R8" else 0
         apply_event(g, ev, s)
-        k += ev.k_delta
+        offset += ev.k_delta
         if ev.rule in SWAP_RULES:
             remaximalize(g, s, [e for t in ev.packing_removed
                                 for e in triangle_edges(t)])
@@ -647,10 +689,116 @@ def kernelize(inst: Instance) -> KernelOutcome:
                 raise GraphError("packing vertex count did not grow")
         else:
             s = None
+            retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)
             after = ev.split_vertex  # None after R2, R3 and R9
-        counters[ev.rule] += 1
         trace.append(ev)
+
+
+class _Run:
+    """A k-free run of one input graph and variant, paused at ``stops[-1]``."""
+
+    __slots__ = ("trace", "stops", "steps")
+
+    def __init__(self, g: Graph, variant: Variant) -> None:
+        self.trace: list[RuleEvent] = []
+        self.stops: list[tuple] = []
+        self.steps = _fixpoint(g.copy(), variant, self.trace)
+
+
+def _rule_code() -> tuple:
+    """The functions a run reaches through this module's globals.  Once one
+    is rebound (an injected bug, a tracer's wrapper) the kept runs are
+    stale, so :func:`rule_event`'s lookup contract holds for every call."""
+    return (rule_event, apply_event, find_prunable, find_exclusive_k4,
+            find_splittable, find_augment_one, find_augment_two, find_revertex,
+            find_crown, greedy_maximal_packing, remaximalize, labeled_edges,
+            build_span_bipartite, extract_crown, max_matching, _strict_spanners)
+
+
+class _Kept:
+    """The runs of one input graph, one per variant.
+
+    ``source`` is the caller's graph itself, not a copy: ``version`` shows
+    that it is unchanged, and only then can it stand for the input the runs
+    began from.
+    """
+
+    __slots__ = ("source", "version", "code", "runs")
+
+    def __init__(self, g: Graph, code: tuple) -> None:
+        self.source = g
+        self.version = g.version
+        self.code = code
+        self.runs: dict[Variant, _Run] = {}
+
+    def holds(self, g: Graph, code: tuple) -> bool:
+        """Same adjacency (isolated vertices included), same ``next_id``,
+        and made by the rules as they are bound now."""
+        src = self.source
+        return (src.version == self.version and self.code == code
+                and (g is src or (g.next_id == src.next_id and g.m == src.m
+                                  and g.adj == src.adj)))
+
+
+_thread = threading.local()  # .kept: this thread's _Kept for its last graph
+
+
+def _outcome(verdict: str, rule: str | None, events: list[RuleEvent],
+             instance: Instance | None,
+             packing: TrianglePacking | None) -> KernelOutcome:
+    """An outcome made of copies (events are immutable), so that no two
+    outcomes share mutable state."""
+    trace = list(events)
+    counters = dict.fromkeys(RULE_IDS, 0)
+    for ev in trace:
+        counters[ev.rule] += 1
+    if rule is not None:
+        counters[rule] += 1
+    return KernelOutcome(verdict, instance,
+                         None if packing is None else packing.copy(),
+                         trace, counters, rule)
+
+
+def kernelize(inst: Instance) -> KernelOutcome:
+    """Reduce ``inst`` to its kernel, or answer it by Rule 1 or Rule 5.
+
+    The answer is the k-free run of ``inst.graph`` up to the first point
+    where Rule 1 or Rule 5 ends it for ``inst.k``; this thread's run of the
+    last graph is read back or resumed (module docstring).  ``inst.graph``
+    is never mutated, and the outcome shares no mutable state.
+    """
+    g, k, variant = inst.graph, inst.k, inst.variant
+    code = _rule_code()
+    kept = getattr(_thread, "kept", None)
+    if kept is None or not kept.holds(g, code):
+        _thread.kept = None  # let the old runs go before the new one grows
+        kept = _thread.kept = _Kept(g, code)
+    run = kept.runs.get(variant)
+    if run is None:
+        run = kept.runs[variant] = _Run(g, variant)
+    trace, stops = run.trace, run.stops  # a failure's events stay in ``trace``
+    i = 0
+    while True:
+        if i == len(stops):
+            try:
+                stops.append(next(run.steps))
+            except BaseException:
+                del kept.runs[variant]  # a run that raised cannot resume
+                raise
+        rule, end, offset, value = stops[i]
+        if rule is None:
+            kernel, packing = value
+            return _outcome("reduced", None, trace,
+                            Instance(kernel.copy(), k + offset, variant), packing)
+        if rule == "R1":
+            verdict, packing = terminal_verdict(value, k + offset, variant), None
+        else:
+            size, packing = value
+            verdict = threshold_verdict(size, k + offset, variant)
+        if verdict is not None:
+            return _outcome(verdict, rule, trace[:end], None, packing)
+        i += 1
 
 
 # -- trace replay -------------------------------------------------------------

@@ -72,6 +72,27 @@ class TestKernelizeCommand:
         second = {f.name: f.read_bytes() for f in out.iterdir()}
         assert first == second
 
+    def test_oversized_dimacs_header_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 1000000000 0\n")
+        assert main(["kernelize", "--problem", "etp", "--k", "1",
+                     "--format", "dimacs", str(path)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_broken_invariant_is_one_line_and_exit_one(self, k5_file, capsys,
+                                                        monkeypatch):
+        import trikernel.rules as rules_mod
+
+        def broken(g, s, spanners=None):
+            return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
+
+        monkeypatch.setattr(rules_mod, "find_augment_one", broken)
+        assert main(["kernelize", "--problem", "etp", "--k", "4",
+                     str(k5_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal invariant failed: ")
+        assert err.count("\n") == 1
+
     def test_dimacs_input(self, tmp_path, capsys):
         path = tmp_path / "tri.col"
         path.write_text("c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trikernel.graph import (
+    MAX_DIMACS_VERTICES,
     Graph,
     GraphError,
     ParseError,
@@ -71,6 +73,19 @@ class TestLoadGraph:
     def test_dimacs_range_check(self):
         with pytest.raises(ParseError):
             load_graph("p edge 2 1\ne 1 7", fmt="dimacs")
+
+    def test_dimacs_refuses_a_huge_header_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="1000000000 vertices") as err:
+                load_graph("c\np edge 1000000000 0\n", fmt="dimacs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 2
+        assert peak < 100_000
+        g = load_graph(f"p edge {MAX_DIMACS_VERTICES} 0", fmt="dimacs")
+        assert g.n == MAX_DIMACS_VERTICES
 
     def test_dimacs_needs_header(self):
         with pytest.raises(ParseError):

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -51,6 +54,8 @@ from conftest import (
     spanned_triangle,
 )
 
+VARIANTS = (Variant.ETP, Variant.ETC)
+
 
 def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
     """One application of ``rule`` on copies: the new instance (graph rules)
@@ -67,7 +72,8 @@ def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
 def reference_kernelize(inst: Instance):
     """The fixpoint loop with nothing incremental: every event restarts the
     scan at R1, and the packing is grown by a greedy pass over every
-    triangle.  Returns (verdict, verdict_rule, trace, counters, kernel)."""
+    triangle.  Returns (verdict, verdict_rule, trace, counters, kernel,
+    packing)."""
     g, k, variant = inst.graph.copy(), inst.k, inst.variant
     trace, counters = [], {r: 0 for r in RULE_IDS}
     s = None
@@ -79,24 +85,25 @@ def reference_kernelize(inst: Instance):
         return s
 
     while True:
-        verdict = terminal_verdict(g, k, variant)
+        verdict = terminal_verdict(g.m, k, variant)
         if verdict is not None:
             counters["R1"] += 1
-            return verdict, "R1", trace, counters, None
+            return verdict, "R1", trace, counters, None, s
         ev = None
         for rule in ("R2", "R3", "R4"):
             ev = ev or rule_event(rule, g, variant)
         if ev is None:
             if s is None:
                 s = grow(TrianglePacking())
-            verdict = threshold_verdict(s, k, variant)
+            verdict = threshold_verdict(len(s), k, variant)
             if verdict is not None:
                 counters["R5"] += 1
-                return verdict, "R5", trace, counters, None
+                return verdict, "R5", trace, counters, None, s
             for rule in ("R6", "R7", "R8", "R9"):
                 ev = ev or rule_event(rule, g, variant, s)
             if ev is None:
-                return "reduced", None, trace, counters, (k, g.edges(), g.vertices())
+                return ("reduced", None, trace, counters,
+                        (k, g.edges(), g.vertices()), s)
         apply_event(g, ev, s)
         k += ev.k_delta
         if ev.rule in SWAP_RULES:
@@ -107,24 +114,45 @@ def reference_kernelize(inst: Instance):
         trace.append(ev)
 
 
+def _summary(out) -> tuple:
+    """What an outcome says, in plain values."""
+    red = out.instance
+    return (out.verdict, out.verdict_rule, trace_to_json(out.trace),
+            dict(out.counters),
+            None if red is None else (red.k, red.graph.edges(), red.graph.vertices()),
+            None if out.packing is None else list(out.packing.triangles))
+
+
+def _reference_summary(inst: Instance) -> tuple:
+    verdict, rule, trace, counters, kernel, s = reference_kernelize(inst)
+    return (verdict, rule, trace_to_json(trace), counters, kernel,
+            None if s is None else s.triangles)
+
+
 def assert_matches_reference(g: Graph) -> int:
     """``kernelize`` agrees with :func:`reference_kernelize` at every k and
-    both variants; returns the number of runs compared."""
-    runs = 0
-    for k in range(g.n + 1):
-        for variant in (Variant.ETP, Variant.ETC):
-            inst = Instance(g, k, variant)
-            out = kernelize(inst)
-            red = out.instance
-            kernel = None if red is None else (red.k, red.graph.edges(),
-                                               red.graph.vertices())
-            verdict, rule, trace, counters, ref_kernel = reference_kernelize(inst)
-            assert (out.verdict, out.verdict_rule) == (verdict, rule)
-            assert trace_to_json(out.trace) == trace_to_json(trace)
-            assert out.counters == counters
-            assert kernel == ref_kernel
-            runs += 1
-    return runs
+    both variants, packing included; returns the number of calls compared.
+
+    The calls go to ``g`` and to ``g.copy()`` with k in a seeded shuffled
+    order, and every third call goes to another graph first, so that the
+    answers come from resumed runs, from points a run recorded earlier and
+    from fresh runs alike."""
+    rng = random.Random(g.n)
+    other = spanned_triangle(2)
+    other_ref = {v: _reference_summary(Instance(other, 2, v)) for v in VARIANTS}
+    queries = [(k, variant, src) for k in range(g.n + 1) for variant in VARIANTS
+               for src in (g, g.copy())]
+    rng.shuffle(queries)
+    expected = {}
+    for i, (k, variant, src) in enumerate(queries):
+        if i % 3 == 2:
+            v = rng.choice(VARIANTS)
+            assert _summary(kernelize(Instance(other, 2, v))) == other_ref[v]
+        inst = Instance(src, k, variant)
+        if (k, variant) not in expected:
+            expected[k, variant] = _reference_summary(inst)
+        assert _summary(kernelize(inst)) == expected[k, variant]
+    return len(queries)
 
 
 @st.composite
@@ -151,18 +179,18 @@ def both_optima(g: Graph):
 
 class TestRuleTerminal:
     def test_etp_small_k_wins(self):
-        assert terminal_verdict(Graph(), 0, Variant.ETP) == "yes"
-        assert terminal_verdict(complete_graph(3), -2, Variant.ETP) == "yes"
+        assert terminal_verdict(0, 0, Variant.ETP) == "yes"
+        assert terminal_verdict(complete_graph(3).m, -2, Variant.ETP) == "yes"
 
     def test_etp_empty_graph_loses(self):
-        assert terminal_verdict(Graph(), 1, Variant.ETP) == "no"
+        assert terminal_verdict(0, 1, Variant.ETP) == "no"
 
     def test_etc_empty_graph_wins(self):
-        assert terminal_verdict(Graph(), 0, Variant.ETC) == "yes"
-        assert terminal_verdict(Graph(), -1, Variant.ETC) == "no"
+        assert terminal_verdict(0, 0, Variant.ETC) == "yes"
+        assert terminal_verdict(0, -1, Variant.ETC) == "no"
 
     def test_silent_otherwise(self):
-        assert terminal_verdict(complete_graph(3), 1, Variant.ETP) is None
+        assert terminal_verdict(complete_graph(3).m, 1, Variant.ETP) is None
 
 
 class TestRulePrune:
@@ -287,15 +315,15 @@ class TestRuleThreshold:
     def test_packing_larger_than_k(self):
         g = disjoint_triangles(2)
         s = greedy_maximal_packing(g)
-        assert threshold_verdict(s, 1, Variant.ETP) == "yes"
-        assert threshold_verdict(s, 1, Variant.ETC) == "no"
+        assert threshold_verdict(len(s), 1, Variant.ETP) == "yes"
+        assert threshold_verdict(len(s), 1, Variant.ETC) == "no"
         # oracle agreement: the minimum cover really is 2
         assert solve_etc_exact(g).optimum == 2
 
     def test_silent_at_k(self):
         g = complete_graph(3)
         s = greedy_maximal_packing(g)
-        assert threshold_verdict(s, 1, Variant.ETP) is None
+        assert threshold_verdict(len(s), 1, Variant.ETP) is None
 
 
 class TestRuleAugmentOne:
@@ -456,11 +484,11 @@ class TestKernelize:
         out = kernelize(Instance(complete_graph(3), 1, Variant.ETP))
         red = out.instance
         s = out.packing
-        assert terminal_verdict(red.graph, red.k, red.variant) is None
+        assert terminal_verdict(red.graph.m, red.k, red.variant) is None
         assert find_prunable(red.graph) is None
         assert find_exclusive_k4(red.graph) is None
         assert find_splittable(red.graph) is None
-        assert threshold_verdict(s, red.k, red.variant) is None
+        assert threshold_verdict(len(s), red.k, red.variant) is None
         assert find_augment_one(red.graph, s) is None
         assert find_augment_two(red.graph, s) is None
         assert find_revertex(red.graph, s) is None
@@ -574,11 +602,11 @@ class TestKernelize:
                 red, s = out.instance, out.packing
                 s.validate(red.graph)
                 assert covers(red.graph, s.edge_index)
-                assert terminal_verdict(red.graph, red.k, red.variant) is None
+                assert terminal_verdict(red.graph.m, red.k, red.variant) is None
                 assert find_prunable(red.graph) is None
                 assert find_exclusive_k4(red.graph) is None
                 assert find_splittable(red.graph) is None
-                assert threshold_verdict(s, red.k, red.variant) is None
+                assert threshold_verdict(len(s), red.k, red.variant) is None
                 assert find_augment_one(red.graph, s) is None
                 assert find_augment_two(red.graph, s) is None
                 assert find_revertex(red.graph, s) is None
@@ -608,6 +636,141 @@ class TestAgainstReferenceDriver:
     @settings(max_examples=60, deadline=None)
     def test_random_graphs_every_k(self, g):
         assert_matches_reference(g)
+
+
+def _sweep_digest(graphs: list[Graph], order: list[tuple]) -> str:
+    """sha256 over verdict, rule, trace and kernel edges of every
+    (graph index, k, variant) call, made in ``order``, read graph-major."""
+    seen = {}
+    for i, k, variant in order:
+        out = kernelize(Instance(graphs[i], k, variant))
+        kernel = None if out.instance is None else out.instance.graph.edges()
+        seen[i, k, variant.value] = (f"{out.verdict}|{out.verdict_rule}|"
+                                     f"{trace_to_json(out.trace)}|{kernel}")
+    h = hashlib.sha256()
+    for key in sorted(seen):
+        h.update(seen[key].encode())
+    return h.hexdigest()
+
+
+class TestPausedRuns:
+    """``kernelize`` keeps the k-free runs of the last graph per thread;
+    nothing a caller does may show through them."""
+
+    def test_sweep_order_does_not_change_any_outcome(self):
+        graphs = [generate(spec) for spec in corpus_specs(23, 30, "kernel")]
+        order = [(i, k, variant) for i, g in enumerate(graphs)
+                 for k in range(g.n + 1) for variant in VARIANTS]
+        graph_major = _sweep_digest(graphs, order)
+        random.Random(23).shuffle(order)
+        assert _sweep_digest(graphs, order) == graph_major
+
+    def test_mutating_an_outcome_changes_no_later_outcome(self):
+        g = spanned_triangle(3)
+        g.add_edge(5, 6)
+        for u, v in complete_graph(5, offset=10).edges():
+            g.add_edge(u, v)
+        before = g.edges()
+        # a kernel, an R5 yes, an R5 no and an R1 yes
+        for k, variant in ((4, Variant.ETP), (1, Variant.ETP), (0, Variant.ETC),
+                           (0, Variant.ETP)):
+            first = kernelize(Instance(g, k, variant))
+            expected = _summary(first)
+            if first.instance is not None:
+                first.instance.graph.add_edge(40, 41)
+                first.instance.graph.remove_vertex(first.instance.graph.vertices()[0])
+            if first.packing is not None:
+                first.packing.add((50, 51, 52))
+            if first.trace:
+                with pytest.raises(AttributeError):
+                    first.trace[0].removed_vertices.append(99)
+            first.trace.clear()
+            first.counters["R2"] = 99
+            assert _summary(kernelize(Instance(g, k, variant))) == expected
+        assert g.edges() == before
+
+    def test_same_adjacency_other_next_id_is_another_graph(self):
+        g = bowtie()
+        assert kernelize(Instance(g, 2, Variant.ETP)).trace[0].split_minted == (5, 6)
+        shifted = bowtie()
+        shifted.add_vertex(20)
+        shifted.remove_vertex(20)
+        assert shifted.adj == g.adj and shifted.next_id == 21
+        out = kernelize(Instance(shifted, 2, Variant.ETP))
+        assert out.trace[0].split_minted == (21, 22)
+        assert _summary(out) == _reference_summary(Instance(shifted, 2, Variant.ETP))
+
+    def test_a_changed_input_graph_is_run_again(self):
+        g = disjoint_triangles(2)
+        assert kernelize(Instance(g, 2, Variant.ETP)).instance.graph.n == 6
+        g.remove_edge(0, 1)
+        out = kernelize(Instance(g, 2, Variant.ETP))
+        assert out.instance.graph.n == 3
+        assert _summary(out) == _reference_summary(Instance(g, 2, Variant.ETP))
+
+    def test_an_invariant_failure_is_raised_again(self, monkeypatch):
+        import trikernel.rules as rules_mod
+
+        def broken(g, s, spanners=None):
+            return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
+
+        monkeypatch.setattr(rules_mod, "find_augment_one", broken)
+        g = complete_graph(5)
+        assert kernelize(Instance(g, 1, Variant.ETP)).verdict == "yes"
+        for _ in range(2):
+            with pytest.raises(GraphError, match="leave the graph"):
+                kernelize(Instance(g, 4, Variant.ETP))
+        assert kernelize(Instance(g, 1, Variant.ETP)).verdict == "yes"
+
+    def test_a_rebound_finder_is_used_on_a_kept_graph(self, monkeypatch):
+        import trikernel.rules as rules_mod
+        g = spanned_triangle(2)
+        g.add_edge(7, 8)
+        assert [ev.rule for ev in kernelize(Instance(g, 3, Variant.ETP)).trace] \
+            == ["R2", "R9"]
+        calls = []
+
+        def broken(graph):
+            calls.append(graph.n)
+            return None
+
+        monkeypatch.setattr(rules_mod, "find_prunable", broken)
+        out = kernelize(Instance(g, 3, Variant.ETP))
+        assert calls and [ev.rule for ev in out.trace][0] != "R2"
+
+    def test_threads_get_the_serial_outcomes(self):
+        graphs = [generate(spec) for spec in corpus_specs(23, 16, "kernel")]
+        calls = {i: [(k, variant) for k in range(g.n + 1) for variant in VARIANTS]
+                 for i, g in enumerate(graphs)}
+        serial = {(i, k, variant): _summary(kernelize(Instance(graphs[i], k, variant)))
+                  for i in calls for k, variant in calls[i]}
+        results: dict = {}
+        barrier = threading.Barrier(4, timeout=60)
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            for i in calls:  # the same graph at the same time, k in other orders
+                barrier.wait()
+                for k, variant in rng.sample(calls[i], len(calls[i])):
+                    try:
+                        got = _summary(kernelize(Instance(graphs[i], k, variant)))
+                    except Exception as exc:  # a thread must report, not die
+                        got = repr(exc)
+                    results.setdefault((i, k, variant), []).append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(results[call] == [serial[call]] * 4 for call in serial)
 
 
 class TestLiftSolution:
