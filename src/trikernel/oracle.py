@@ -23,10 +23,32 @@ stops once it holds more than ``limit`` triangles (``exact=False``), and a
 covering search explores only covers of at most ``limit + 1`` edges,
 reporting ``limit + 1`` with ``exact=False`` and no witness when the true
 optimum lies above.  Decisions for any ``k <= limit`` are unaffected.
+
+Each solver keeps, per thread, the last graph it searched (a copy, matched
+by ``n``, ``m`` and ``adj``), that graph's triangle count and the result
+with the ``limit`` it ran under, so a caller that asks about the same graph
+again -- every reduced k of one input shares one kernel -- is answered
+without a search.  A call is answered from that memo only when a cold call
+would return exactly the same optimum, witness and ``exact`` flag:
+
+* packing: an exact optimum ``p`` answers ``limit=None`` and every
+  ``limit >= p``;
+* covering: an exact optimum ``t`` answers every limit, with the optimum
+  and its witness when ``limit`` is ``None`` or at least ``t - 1``, and
+  with ``(limit + 1, None, False)`` below that; a lower bound reached under
+  ``limit=L`` answers every ``limit <= L``.
+
+Anything else is searched as before, and its result is kept, except that an
+inexact result never replaces an exact one of the same graph; a
+triangle-free graph is answered from its listing and not kept.  A hit still
+applies the size budget (with the kept triangle count), re-checks the
+witness against the caller's graph and hands out a fresh list.  The memo is
+read inside each solver, not by a wrapper, so no search runs a frame deeper.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .graph import (
@@ -34,7 +56,6 @@ from .graph import (
     Graph,
     GraphError,
     Instance,
-    Triangle,
     Variant,
     covers,
     enumerate_triangles,
@@ -50,11 +71,11 @@ class OracleBudgetError(RuntimeError):
     """Instance exceeds the exact-solver size budget."""
 
 
-def _check_budget(g: Graph, triangles: list[Triangle], budget: bool) -> None:
-    if budget and g.n > MAX_VERTICES and len(triangles) > MAX_TRIANGLES:
+def _check_budget(g: Graph, triangles: int, budget: bool) -> None:
+    if budget and g.n > MAX_VERTICES and triangles > MAX_TRIANGLES:
         raise OracleBudgetError(
             f"instance too large for exact solving: n={g.n} > {MAX_VERTICES} "
-            f"and {len(triangles)} triangles > {MAX_TRIANGLES}")
+            f"and {triangles} triangles > {MAX_TRIANGLES}")
 
 
 @dataclass
@@ -66,6 +87,49 @@ class OracleResult:
 
 def _edge_bits(g: Graph) -> dict[Edge, int]:
     return {e: 1 << i for i, e in enumerate(g.edges())}
+
+
+class _Memo:
+    """One solver's last search in this thread (module docstring).
+
+    ``graph`` is a private copy of the searched graph, ``triangles`` its
+    triangle count; the witness is kept as a tuple, so no caller can change
+    it.  The search never reads ``budget``, so a result found without the
+    budget serves calls with it.
+    """
+
+    __slots__ = ("graph", "triangles", "limit", "optimum", "witness", "exact")
+
+    def __init__(self, graph: Graph, triangles: int, limit: int | None,
+                 res: OracleResult) -> None:
+        self.graph = graph
+        self.triangles = triangles
+        self.limit = limit
+        self.optimum = res.optimum
+        self.witness = None if res.witness is None else tuple(res.witness)
+        self.exact = res.exact
+
+
+_thread = threading.local()  # .etp, .etc: this thread's _Memo per solver
+
+
+def _recall(solver: str, g: Graph) -> _Memo | None:
+    """This thread's memo of ``solver`` if it was made on a graph equal to ``g``."""
+    memo = getattr(_thread, solver, None)
+    if memo is None:
+        return None
+    h = memo.graph
+    return memo if h.m == g.m and h.n == g.n and h.adj == g.adj else None
+
+
+def _keep(solver: str, memo: _Memo | None, g: Graph, triangles: int,
+          limit: int | None, res: OracleResult) -> None:
+    """Keep ``res`` of a search of ``g``; ``memo`` is the one ``_recall``
+    found for ``g`` (if any), and an exact one stays."""
+    if memo is None:
+        setattr(_thread, solver, _Memo(g.copy(), triangles, limit, res))
+    elif res.exact or not memo.exact:
+        setattr(_thread, solver, _Memo(memo.graph, triangles, limit, res))
 
 
 def solve_etp_exact(g: Graph, *, limit: int | None = None,
@@ -80,10 +144,18 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     the edges of its candidates and ``star[v]`` those at ``v`` (a packed
     triangle uses two edges at each corner).  A bound only cuts subtrees that
     cannot beat the incumbent, so it changes neither the incumbents nor the
-    witness.  The nodes wait on an explicit stack.
+    witness.  The nodes wait on an explicit stack.  The memo may answer
+    instead (module docstring).
     """
+    memo = _recall("etp", g)
+    if memo is not None and memo.exact and (limit is None or limit >= memo.optimum):
+        _check_budget(g, memo.triangles, budget)
+        witness = list(memo.witness)
+        if not packs(g, witness):
+            raise GraphError(f"kept packing witness {witness} is not a packing")
+        return OracleResult(memo.optimum, witness, True)
     triangles = enumerate_triangles(g)
-    _check_budget(g, triangles, budget)
+    _check_budget(g, len(triangles), budget)
     if not triangles:
         return OracleResult(0, [])
 
@@ -137,7 +209,9 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     if len(witness) != best or not packs(g, witness):
         raise GraphError(f"packing witness {witness} is not {best} "
                          "edge-disjoint triangles")
-    return OracleResult(best, witness, exact)
+    res = OracleResult(best, witness, exact)
+    _keep("etp", memo, g, len(triangles), limit, res)
+    return res
 
 
 def solve_etc_exact(g: Graph, *, limit: int | None = None,
@@ -154,10 +228,20 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     edge closes the node; otherwise the node is bounded below by a greedy
     count of live triangles whose allowed edges are pairwise disjoint (each
     needs its own deleted edge), taken fewest allowed edges first.  The
-    nodes wait on an explicit stack.
+    nodes wait on an explicit stack.  The memo may answer instead (module
+    docstring).
     """
+    memo = _recall("etc", g)
+    if memo is not None and (memo.exact or limit is not None and limit <= memo.limit):
+        _check_budget(g, memo.triangles, budget)
+        if not memo.exact or limit is not None and limit < memo.optimum - 1:
+            return OracleResult(limit + 1, None, False)
+        witness = list(memo.witness)
+        if not covers(g, set(witness)):
+            raise GraphError(f"kept cover witness {witness} is not a cover")
+        return OracleResult(memo.optimum, witness, True)
     triangles = enumerate_triangles(g)
-    _check_budget(g, triangles, budget)
+    _check_budget(g, len(triangles), budget)
     if not triangles:
         return OracleResult(0, [])
 
@@ -212,12 +296,16 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
 
     if best is None:
         # Nothing of size <= limit + 1 exists; only a lower bound is known.
-        return OracleResult(cap - 1, None, False)
-    witness = sorted(edge_of_bit[1 << i] for i in range(len(bit)) if best >> i & 1)
-    if len(witness) != cap or not covers(g, set(witness)):
-        raise GraphError(f"cover witness {witness} is not {cap} edges "
-                         "meeting every triangle")
-    return OracleResult(cap, witness, True)
+        res = OracleResult(cap - 1, None, False)
+    else:
+        witness = sorted(edge_of_bit[1 << i] for i in range(len(bit))
+                         if best >> i & 1)
+        if len(witness) != cap or not covers(g, set(witness)):
+            raise GraphError(f"cover witness {witness} is not {cap} edges "
+                             "meeting every triangle")
+        res = OracleResult(cap, witness, True)
+    _keep("etc", memo, g, len(triangles), limit, res)
+    return res
 
 
 def _greedy_cover(masks: list[int]) -> list[int]:
@@ -251,7 +339,10 @@ def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:
     """Exact decision plus a yes-witness (triangles or edges), else ``None``.
 
     The one place that answers ``k <= 0`` packing and ``k < 0`` covering
-    without a search and otherwise runs a capped solve (``limit=k``).
+    without a search and otherwise runs a capped solve (``limit=k``).  The
+    solvers' per-thread memo makes a run of calls on one graph (every k of
+    a kernel) cost about one search per variant; a call answered from it
+    returns exactly what a cold search would (module docstring).
     """
     if inst.variant is Variant.ETP:
         if inst.k <= 0:

@@ -777,7 +777,10 @@ def kernelize(inst: Instance) -> KernelOutcome:
     run = kept.runs.get(variant)
     if run is None:
         run = kept.runs[variant] = _Run(g, variant)
-    trace, stops = run.trace, run.stops  # a failure's events stay in ``trace``
+    # A failure's events stay in ``trace``: perfbench's ``_partial_trace``
+    # reads this frame's list local of that name from the traceback
+    # (tests/test_rules.py pins it), so keep both the name and the frame.
+    trace, stops = run.trace, run.stops
     i = 0
     while True:
         if i == len(stops):

@@ -181,7 +181,7 @@ class TestFullAudit:
             g = generate(spec)
             for k in (1, 2, g.n // 2, g.n):
                 for variant in (Variant.ETP, Variant.ETC):
-                    out = kernelize(Instance(g.copy(), k, variant))
+                    out = kernelize(Instance(g, k, variant))
                     if out.verdict != "reduced":
                         continue
                     red = out.instance

@@ -262,7 +262,7 @@ class TestApplyCrown:
         fc = extract_crown(b, max_matching(b))
         for variant in (Variant.ETP, Variant.ETC):
             for k in range(0, 4):
-                inst = Instance(g.copy(), k, variant)
+                inst = Instance(g, k, variant)
                 red = apply_crown_event(inst, fc)
                 assert red.k == k - 1
                 assert not red.graph.has_edge(0, 1)

@@ -1,10 +1,14 @@
 import inspect
+import random
 import sys
+import threading
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 
-from trikernel.gen import GenSpec, generate
+from trikernel.cli import _verify_one
+from trikernel.gen import GenSpec, corpus_specs, generate
 from trikernel.graph import Graph, Instance, Variant, enumerate_triangles, triangle_edges
 from trikernel.oracle import (
     OracleBudgetError,
@@ -222,3 +226,142 @@ class TestCrossProperties:
         removed = set(cover.witness)
         for t in enumerate_triangles(g):
             assert any(e in removed for e in triangle_edges(t))
+
+
+SOLVERS = {"etp": solve_etp_exact, "etc": solve_etc_exact}
+
+
+def _answer(solver: str, g: Graph, limit, budget: bool = True):
+    """``(optimum, witness, exact)`` of one solve, or ``"refused"``."""
+    try:
+        res = SOLVERS[solver](g, limit=limit, budget=budget)
+    except OracleBudgetError:
+        return "refused"
+    return res.optimum, res.witness, res.exact
+
+
+def _in_fresh_thread(fn):
+    """``fn()`` in a new thread, whose solvers keep nothing yet: a cold call."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and len(box) == 1
+    return box[0]
+
+
+class TestMemo:
+    """Each solver's per-thread memo of its last search answers a call only
+    with what a cold search of the same call returns."""
+
+    def test_answers_equal_a_cold_call(self):
+        rng = random.Random(29)
+        graphs = [generate(spec) for spec in corpus_specs(29, 16, "small")]
+        graphs += [generate(GenSpec("erdos_renyi", seed, n=11, p=0.5))
+                   for seed in (1, 2)]
+        graphs += [complete_graph(6), disjoint_triangles(4), petersen_graph()]
+        for i, g in enumerate(graphs):
+            # the previous graph, and ``g`` with its labels reversed (same
+            # n, m and optima, other witnesses)
+            top = max(g.adj)
+            others = (graphs[i - 1],
+                      Graph.from_edges([(top - u, top - v) for u, v in g.edges()],
+                                       [top - v for v in g.adj]))
+            limits = [None, *range(-1, g.n + 2)]
+            cold = {(solver, limit): _in_fresh_thread(partial(_answer, solver, g, limit))
+                    for solver in SOLVERS for limit in limits}
+            calls = [(solver, limit, copy) for solver in SOLVERS
+                     for limit in limits for copy in (False, True)]
+            rng.shuffle(calls)
+            for j, (solver, limit, copy) in enumerate(calls):
+                if j % 5 == 2:  # another graph in between
+                    _answer(rng.choice(list(SOLVERS)), rng.choice(others),
+                            rng.choice(limits))
+                got = _answer(solver, g.copy() if copy else g, limit)
+                assert got == cold[solver, limit], (i, solver, limit, copy)
+
+    def test_a_kept_result_is_still_refused_over_budget(self):
+        big = disjoint_triangles(61)  # 183 vertices, 61 triangles
+        assert solve_etp_exact(big, budget=False).optimum == 61
+        assert solve_etc_exact(big, budget=False).optimum == 61
+        for g in (big, big.copy()):
+            for solver in SOLVERS:
+                for limit in (None, 3, 61):
+                    with pytest.raises(OracleBudgetError):
+                        SOLVERS[solver](g, limit=limit)
+        assert solve_etc_exact(big, budget=False).optimum == 61
+
+    def test_a_changed_result_does_not_change_a_later_answer(self):
+        g = complete_graph(6)
+        for solver in SOLVERS:
+            cold = _in_fresh_thread(partial(_answer, solver, g, None))
+            for src in (g, g, g.copy()):
+                res = SOLVERS[solver](src)
+                assert (res.optimum, res.witness, res.exact) == cold
+                res.witness.append(res.witness.pop(0))
+                res.witness.pop()
+                res.optimum, res.exact = -1, False
+
+    def test_threads_get_the_serial_results(self):
+        graphs = [generate(GenSpec("erdos_renyi", seed, n=10, p=0.5))
+                  for seed in range(6)]
+        calls = [(solver, limit) for solver in SOLVERS
+                 for limit in (None, *range(-1, 12))]
+        serial = {(i, solver, limit): _in_fresh_thread(partial(_answer, solver, g, limit))
+                  for i, g in enumerate(graphs) for solver, limit in calls}
+        got: dict = {}
+        rounds = 10
+
+        def worker(i: int) -> None:
+            rng = random.Random(i)
+            for _ in range(rounds):
+                for solver, limit in rng.sample(calls, len(calls)):
+                    try:
+                        answer = _answer(solver, graphs[i].copy(), limit)
+                    except Exception as exc:  # a thread must report, not die
+                        answer = repr(exc)
+                    got.setdefault((i, solver, limit), []).append(answer)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(graphs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {key: [want] * rounds for key, want in serial.items()}
+
+    def test_a_kept_answer_needs_no_more_frames(self):
+        g, again = complete_graph(7), complete_graph(7)
+        cold = (solve_etp_exact(g).optimum, solve_etc_exact(g).optimum)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 12)
+        try:
+            warm = (solve_etp_exact(again).optimum, solve_etc_exact(again).optimum)
+        finally:
+            sys.setrecursionlimit(old)
+        assert warm == cold == (7, 9)
+
+    def test_verify_searches_each_kernel_once_per_variant(self, monkeypatch):
+        """``cli._verify_one`` on one graph: the two input solves and one
+        search per variant of the kernel that all 26 reduced outcomes share
+        (a cold search per call lists triangles 26 times).  A hit lists no
+        triangles, so the listings count the searches."""
+        import trikernel.oracle as oracle_mod
+        listed = []
+        real = oracle_mod.enumerate_triangles
+
+        def counting(g):
+            listed.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(oracle_mod, "enumerate_triangles", counting)
+        spec = GenSpec("erdos_renyi", 3, n=14, p=0.4)
+        result = _in_fresh_thread(partial(_verify_one, (spec.to_json(), 16)))
+        assert result["checked"] == 30 and not result["mismatches"]
+        assert len(listed) <= 4

@@ -578,7 +578,7 @@ class TestKernelize:
         etc = solve_etc_exact(g, budget=False).optimum
         for k in (0, 1, 2, etp, etc, g.n):
             for variant, truth in ((Variant.ETP, etp >= k), (Variant.ETC, etc <= k)):
-                out = kernelize(Instance(g.copy(), k, variant))
+                out = kernelize(Instance(g, k, variant))
                 if out.verdict == "reduced":
                     red = out.instance
                     if variant is Variant.ETP:
@@ -595,7 +595,7 @@ class TestKernelize:
         for spec in corpus_specs(31, 30, "small"):
             g = generate(spec)
             for k in (2, g.n):
-                out = kernelize(Instance(g.copy(), k, Variant.ETP))
+                out = kernelize(Instance(g, k, Variant.ETP))
                 if out.verdict != "reduced":
                     continue
                 seen += 1
@@ -722,6 +722,30 @@ class TestPausedRuns:
                 kernelize(Instance(g, 4, Variant.ETP))
         assert kernelize(Instance(g, 1, Variant.ETP)).verdict == "yes"
 
+    def test_a_failure_leaves_its_events_in_the_kernelize_frame(self, monkeypatch):
+        """perfbench's ``_partial_trace`` recovers a failed run's events from
+        the traceback frame of ``kernelize``, in its list local ``trace``."""
+        import trikernel.rules as rules_mod
+
+        def broken(g, s, spanners=None):
+            return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
+
+        g = complete_graph(5)
+        g.add_edge(5, 6)  # in no triangle: R2 removes it first
+        first = kernelize(Instance(g, 4, Variant.ETP)).trace[0]
+        monkeypatch.setattr(rules_mod, "find_augment_one", broken)
+        with pytest.raises(GraphError, match="leave the graph") as info:
+            kernelize(Instance(g, 4, Variant.ETP))
+        traces = []
+        tb = info.value.__traceback__
+        while tb is not None:
+            if tb.tb_frame.f_code.co_name == "kernelize":
+                traces.append(tb.tb_frame.f_locals.get("trace"))
+            tb = tb.tb_next
+        assert len(traces) == 1 and isinstance(traces[0], list)
+        assert [ev.to_json() for ev in traces[0]] == [first.to_json()]
+        assert first.rule == "R2"
+
     def test_a_rebound_finder_is_used_on_a_kept_graph(self, monkeypatch):
         import trikernel.rules as rules_mod
         g = spanned_triangle(2)
@@ -813,7 +837,7 @@ class TestLiftSolution:
             etc = solve_etc_exact(g, budget=False).optimum
             for variant, opt in ((Variant.ETP, etp), (Variant.ETC, etc)):
                 k = opt  # the tight yes-instance
-                out = kernelize(Instance(g.copy(), k, variant))
+                out = kernelize(Instance(g, k, variant))
                 answer, base = finish(out, variant, budget=False)
                 if not answer:
                     raise AssertionError("equivalence broken")
