@@ -12,7 +12,8 @@ from .gen import GenSpec, generate
 from .graph import Graph, GraphError, Instance, ParseError, Variant, load_graph
 from .oracle import OracleBudgetError, OracleResult, decide, solve_etc_exact, solve_etp_exact
 from .packing import TrianglePacking, greedy_maximal_packing
-from .rules import KernelOutcome, RuleEvent, finish, kernelize, lift_solution
+from .rules import (KernelOutcome, RuleEvent, finish, kernelize, lift_solution,
+                    replay_trace, trace_from_json)
 
 __all__ = [
     "AuditReport", "audit_instance", "GenSpec", "generate", "Graph",
@@ -20,6 +21,7 @@ __all__ = [
     "OracleBudgetError", "OracleResult", "decide", "solve_etc_exact",
     "solve_etp_exact", "TrianglePacking", "greedy_maximal_packing",
     "KernelOutcome", "RuleEvent", "finish", "kernelize", "lift_solution",
+    "replay_trace", "trace_from_json",
 ]
 
 __version__ = "0.1.0"

@@ -178,17 +178,21 @@ def _verify_one(payload: tuple[dict, int]) -> dict:
 
 
 def _corpus_from_args(args) -> list[GenSpec]:
-    if args.manifest:
-        try:
+    """The corpus to verify; a spec no generator can draw is an input error."""
+    try:
+        if args.manifest:
             data = json.loads(Path(args.manifest).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(_fail(f"manifest: {exc}", EXIT_INPUT))
-        return [GenSpec.from_json(item) for item in data]
-    if args.kind:
-        return [GenSpec(kind=args.kind, seed=args.seed + i, n=args.n,
-                        p=args.p, count=args.count, noise=args.noise,
-                        fans=args.fans)
-                for i in range(args.instances)]
+            if not isinstance(data, list):
+                raise ValueError("a corpus is a JSON list of specs")
+            return [GenSpec.from_json(item) for item in data]
+        if args.kind:
+            return [GenSpec(kind=args.kind, seed=args.seed + i, n=args.n,
+                            p=args.p, count=args.count, noise=args.noise,
+                            fans=args.fans)
+                    for i in range(args.instances)]
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        source = "manifest" if args.manifest else "corpus"
+        raise SystemExit(_fail(f"{source}: {exc}", EXIT_INPUT))
     return corpus_specs(args.seed, args.instances, "small")
 
 

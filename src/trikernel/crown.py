@@ -132,69 +132,42 @@ class FatHeadCrown:
     witness: list[tuple[int, Edge]]  # P: (crown vertex, head edge) pairs
 
 
-def _assemble(b: SpanBipartiteGraph, crown: set[int],
-              pair_right: dict[Edge, int]) -> FatHeadCrown | None:
-    head = {e for c in crown for e in b.adj[c]}
-    witness = []
-    for e in sorted(head):
-        c = pair_right.get(e)
-        if c is None or c not in crown:
-            return None
-        witness.append((c, e))
-    return FatHeadCrown(set(crown), head, witness)
+def _closed_crown(b: SpanBipartiteGraph, seeds: list[int],
+                  pair_right: dict[Edge, int]) -> FatHeadCrown | None:
+    """The crown closed from ``seeds``: absorb the matching partner of every
+    head edge a member spans until none is new, each head edge witnessed by
+    its partner.  None when a spanned edge is unmatched (no crown of these
+    vertices can hold it) or the result fails :func:`verify_crown`."""
+    crown = set(seeds)
+    head: set[Edge] = set()
+    queue = deque(seeds)
+    while queue:
+        for e in b.adj[queue.popleft()]:
+            partner = pair_right.get(e)
+            if partner is None:
+                return None
+            head.add(e)
+            if partner not in crown:
+                crown.add(partner)
+                queue.append(partner)
+    fc = FatHeadCrown(crown, head, [(pair_right[e], e) for e in sorted(head)])
+    return fc if verify_crown(b.graph, fc) else None
 
 
 def extract_crown(b: SpanBipartiteGraph,
                   matching: dict[int, Edge]) -> FatHeadCrown | None:
     """A verified crown from the matching structure, or None.
 
-    Unmatched left vertices seed alternating-path reachability (complete
-    whenever the left side outnumbers its spanned head edges).  If the left
-    side is saturated, per-vertex closures are tried instead: starting from
-    one left vertex, repeatedly absorb the matching partners of all spanned
-    head edges, failing on any unmatched head edge.
+    The closure from the unmatched left vertices is alternating-path
+    reachability (complete whenever the left side outnumbers its spanned
+    head edges).  If it fails, or the left side is saturated, the closure
+    from each single left vertex is tried instead.
     """
-    if not b.left:
-        return None
     pair_right = {e: a for a, e in matching.items()}
-
     unmatched = [a for a in b.left if a not in matching]
-    if unmatched:
-        crown: set[int] = set(unmatched)
-        queue = deque(unmatched)
-        seen_right: set[Edge] = set()
-        while queue:
-            a = queue.popleft()
-            for e in b.adj[a]:
-                if e in seen_right:
-                    continue
-                seen_right.add(e)
-                partner = pair_right.get(e)
-                if partner is not None and partner not in crown:
-                    crown.add(partner)
-                    queue.append(partner)
-        fc = _assemble(b, crown, pair_right)
-        if fc is not None and verify_crown(b.graph, fc):
-            return fc
-
-    for a in b.left:
-        crown = {a}
-        queue = deque([a])
-        ok = True
-        while queue and ok:
-            c = queue.popleft()
-            for e in b.adj[c]:
-                partner = pair_right.get(e)
-                if partner is None:
-                    ok = False
-                    break
-                if partner not in crown:
-                    crown.add(partner)
-                    queue.append(partner)
-        if not ok:
-            continue
-        fc = _assemble(b, crown, pair_right)
-        if fc is not None and verify_crown(b.graph, fc):
+    for seeds in ([unmatched] if unmatched else []) + [[a] for a in b.left]:
+        fc = _closed_crown(b, seeds, pair_right)
+        if fc is not None:
             return fc
     return None
 

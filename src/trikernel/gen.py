@@ -27,6 +27,23 @@ class GenSpec:
     noise: int = 0      # extra random edges sprinkled on top
     fans: int = 2       # crown_gadgets: free vertices over the spanned edge
 
+    def __post_init__(self) -> None:
+        """Refuse, with ``ValueError``, a spec that no generator can draw."""
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("seed", "n", "count", "noise", "fans"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
+        if type(self.p) not in (int, float):
+            raise ValueError(f"p {self.p!r} is not a number")
+        if self.kind == "erdos_renyi":
+            if self.n < 0 or not 0.0 <= self.p <= 1.0:
+                raise ValueError(f"bad erdos_renyi parameters n={self.n} p={self.p}")
+        elif self.count < 0 or self.noise < 0:
+            raise ValueError(f"bad parameters count={self.count} noise={self.noise}")
+        elif self.kind == "crown_gadgets" and self.fans < 2:
+            raise ValueError(f"crown gadget needs fans >= 2, got {self.fans}")
+
     def to_json(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "n": self.n,
                 "p": self.p, "count": self.count, "noise": self.noise,
@@ -34,6 +51,9 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GenSpec":
+        """The spec a JSON object describes; ``ValueError`` if there is none."""
+        if not isinstance(data, dict) or "kind" not in data or "seed" not in data:
+            raise ValueError(f"spec {data!r} is not an object with a kind and a seed")
         known = {f: data[f] for f in
                  ("kind", "seed", "n", "p", "count", "noise", "fans")
                  if f in data}
@@ -45,21 +65,14 @@ def _rng(spec: GenSpec) -> random.Random:
 
 
 def generate(spec: GenSpec) -> Graph:
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    """The graph ``spec`` describes; a :class:`GenSpec` is valid once made."""
     if spec.kind == "erdos_renyi":
-        if spec.n < 0 or not 0.0 <= spec.p <= 1.0:
-            raise ValueError(f"bad erdos_renyi parameters n={spec.n} p={spec.p}")
         return _erdos_renyi(spec.n, spec.p, _rng(spec))
-    if spec.count < 0 or spec.noise < 0:
-        raise ValueError(f"bad parameters count={spec.count} noise={spec.noise}")
     if spec.kind == "planted_packing":
         return _planted_packing(spec.count, spec.noise, _rng(spec))
     if spec.kind == "k4_gadgets":
         return _k4_gadgets(spec.count, spec.noise, _rng(spec))
     if spec.kind == "crown_gadgets":
-        if spec.fans < 2:
-            raise ValueError(f"crown gadget needs fans >= 2, got {spec.fans}")
         return _crown_gadgets(spec.count, spec.fans, spec.noise, _rng(spec))
     return _splittable_mix(spec.count, spec.noise, _rng(spec))
 

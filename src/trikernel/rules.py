@@ -22,18 +22,20 @@ the swap freed can join the packing, and re-maximalization tries just
 those.
 
 Only Rules 1 and 5 read ``k``, and they only end a run, so the runs on one
-graph and variant at every ``k`` are prefixes of one k-free run.
-:func:`kernelize` drives that run as a generator that pauses at each Rule 1
-and Rule 5 test, and answers a ``k`` at the first test that ends its run.
-Each thread keeps the runs of the last graph it was given, one per variant:
-a reference to the caller's graph (a copy of the input is not kept; the
-graph's mutation count shows that it is unchanged), the working graph and
-packing where the run paused, its trace, and the recorded stop points with
-the packings an R5 stop hands out.  A later call on an equal graph answers
-from the recorded points or resumes the run; a call on another graph lets
-the kept runs go first.  Outcomes are built from copies and events are
-immutable, so no outcome shares mutable state with the kept runs or with
-another outcome.
+graph at every ``k`` are prefixes of one k-free run.  That run is the same
+for both problems: the variant decides only the Rule 1 and Rule 5 verdicts
+and how far Rule 3 lowers ``k`` (:func:`for_variant`).  :func:`kernelize`
+drives the run as a generator that pauses at each Rule 1 and Rule 5 test,
+and answers a ``k`` and variant at the first test that ends its run.  Each
+thread keeps the run of the last graph it was given (one per graph, serving
+both variants): a reference to the caller's graph (a copy of the input is
+not kept; the graph's mutation count shows that it is unchanged), the
+working graph and packing where the run paused, its trace as each variant
+records it, and the recorded stop points with the packings an R5 stop hands
+out.  A later call on an equal graph answers from the recorded points or
+resumes the run; a call on another graph lets the kept run go first.
+Outcomes are built from copies and events are immutable, so no outcome
+shares mutable state with the kept run or with another outcome.
 
 Rules 1 and 5 end the run with a verdict.  Every other application is a
 :class:`RuleEvent`: :func:`rule_event` builds it from the rule's finder, and
@@ -525,7 +527,16 @@ def threshold_verdict(packed: int, k: int, variant: Variant) -> str | None:
     return None
 
 
-def rule_event(rule: str, g: Graph, variant: Variant,
+def for_variant(ev: RuleEvent, variant: Variant) -> RuleEvent:
+    """``ev`` as ``variant`` records it.  Rule 3 is the one event whose
+    ``k_delta`` depends on the problem: its K4 holds one packed triangle,
+    and a cover needs two of its edges."""
+    if ev.rule != "R3":
+        return ev
+    return ev._replace(k_delta=-1 if variant is Variant.ETP else -2)
+
+
+def rule_event(rule: str, g: Graph,
                s: TrianglePacking | None = None,
                spanners: dict[Edge, list[int]] | None = None,
                after: int | None = None) -> RuleEvent | None:
@@ -533,10 +544,11 @@ def rule_event(rule: str, g: Graph, variant: Variant,
 
     Rules 2-4 read only ``g``; Rule 4 scans only vertices above ``after``
     when it is given.  Rules 6-9 also read the working packing ``s``, and
-    Rules 6-8 reuse ``spanners`` when the caller has them.  Only ``variant``
-    is needed to size Rule 3's ``k_delta``.  The finders are looked up as
-    module globals at call time, so replacing one on the module changes what
-    every caller sees.
+    Rules 6-8 reuse ``spanners`` when the caller has them.  The event is the
+    same for both problems; an R3 event gets its ``k_delta`` from
+    :func:`for_variant`.  The finders are looked up as module globals at
+    call time, so replacing one on the module changes what every caller
+    sees.
     """
     if rule == "R2":
         found = find_prunable(g)
@@ -547,9 +559,8 @@ def rule_event(rule: str, g: Graph, variant: Variant,
     elif rule == "R3":
         quad = find_exclusive_k4(g)
         if quad is not None:
-            return RuleEvent("R3", k_delta=-1 if variant is Variant.ETP else -2,
-                             quad=quad, removed_edges=tuple(
-                                 edge_key(a, b) for a, b in combinations(quad, 2)))
+            return RuleEvent("R3", quad=quad, removed_edges=tuple(
+                edge_key(a, b) for a, b in combinations(quad, 2)))
     elif rule == "R4":
         found = find_splittable(g, after)
         if found is not None:
@@ -619,11 +630,13 @@ _STRUCTURAL = ("R2", "R3", "R4")
 _RESCAN = {"R2": ("R3", "R4"), "R4": ("R4",)}
 
 
-def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
-    """The fixpoint loop with no ``k``: it rewrites ``g`` in place, appends
-    every event to ``trace`` and yields each point where a run with some
-    ``k`` could end, as ``(rule, len(trace), offset, value)`` with
-    ``offset`` the sum of the ``k_delta`` so far:
+def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
+    """The fixpoint loop with no ``k`` and no variant: it rewrites ``g`` in
+    place, appends every event to each variant's trace as
+    :func:`for_variant` records it, and yields each point where a run with
+    some ``k`` could end, as ``(rule, end, offsets, value)`` with ``end``
+    the trace length and ``offsets[variant]`` the sum of that trace's
+    ``k_delta`` so far:
 
     * ``("R1", ..., m)`` at a Rule 1 test;
     * ``("R5", ..., (|S|, S))`` at a Rule 5 test, ``S`` never to change;
@@ -636,7 +649,8 @@ def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
     a run that the earlier high let through.  Edgeless means every ``k``
     stops.
     """
-    offset = 0
+    offsets = dict.fromkeys(traces, 0)
+    end = 0
     s: TrianglePacking | None = None
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
     after = None        # R4 scans only the vertices above this one
@@ -647,13 +661,13 @@ def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
     while True:
         if retest:
             retest = False
-            yield "R1", len(trace), offset, g.m
+            yield "R1", end, dict(offsets), g.m
             if g.m == 0:
                 return
 
         ev = None
         for rule in scan:
-            ev = rule_event(rule, g, variant, after=after)
+            ev = rule_event(rule, g, after=after)
             if ev is not None:
                 break
         else:
@@ -665,22 +679,21 @@ def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
                 high = -1
             if len(s) > high:
                 high = len(s)
-                yield "R5", len(trace), offset, (high, s)
+                yield "R5", end, dict(offsets), (high, s)
                 recorded = s
             spanners = _strict_spanners(g, s)
-            ev = (rule_event("R6", g, variant, s, spanners)
-                  or rule_event("R7", g, variant, s, spanners)
-                  or rule_event("R8", g, variant, s, spanners)
-                  or rule_event("R9", g, variant, s))
+            ev = (rule_event("R6", g, s, spanners)
+                  or rule_event("R7", g, s, spanners)
+                  or rule_event("R8", g, s, spanners)
+                  or rule_event("R9", g, s))
             if ev is None:
-                yield None, len(trace), offset, (g, s)
+                yield None, end, dict(offsets), (g, s)
                 return
 
         if ev.rule in SWAP_RULES and s is recorded:
             s = s.copy()  # the recorded packing must not change
         covered = len(s.vertex_set()) if ev.rule == "R8" else 0
         apply_event(g, ev, s)
-        offset += ev.k_delta
         if ev.rule in SWAP_RULES:
             remaximalize(g, s, [e for t in ev.packing_removed
                                 for e in triangle_edges(t)])
@@ -692,45 +705,40 @@ def _fixpoint(g: Graph, variant: Variant, trace: list[RuleEvent]):
             retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)
             after = ev.split_vertex  # None after R2, R3 and R9
-        trace.append(ev)
-
-
-class _Run:
-    """A k-free run of one input graph and variant, paused at ``stops[-1]``."""
-
-    __slots__ = ("trace", "stops", "steps")
-
-    def __init__(self, g: Graph, variant: Variant) -> None:
-        self.trace: list[RuleEvent] = []
-        self.stops: list[tuple] = []
-        self.steps = _fixpoint(g.copy(), variant, self.trace)
+        for variant, trace in traces.items():
+            trace.append(for_variant(ev, variant))
+            offsets[variant] += trace[-1].k_delta
+        end += 1
 
 
 def _rule_code() -> tuple:
     """The functions a run reaches through this module's globals.  Once one
-    is rebound (an injected bug, a tracer's wrapper) the kept runs are
+    is rebound (an injected bug, a tracer's wrapper) the kept run is
     stale, so :func:`rule_event`'s lookup contract holds for every call."""
-    return (rule_event, apply_event, find_prunable, find_exclusive_k4,
+    return (rule_event, for_variant, apply_event, find_prunable, find_exclusive_k4,
             find_splittable, find_augment_one, find_augment_two, find_revertex,
             find_crown, greedy_maximal_packing, remaximalize, labeled_edges,
             build_span_bipartite, extract_crown, max_matching, _strict_spanners)
 
 
-class _Kept:
-    """The runs of one input graph, one per variant.
+class _Run:
+    """The k-free run of one input graph, paused at ``stops[-1]``; it
+    answers both problems.
 
     ``source`` is the caller's graph itself, not a copy: ``version`` shows
-    that it is unchanged, and only then can it stand for the input the runs
-    began from.
+    that it is unchanged, and only then can it stand for the input the run
+    began from.  ``code`` is the :func:`_rule_code` the run was made by.
     """
 
-    __slots__ = ("source", "version", "code", "runs")
+    __slots__ = ("source", "version", "code", "traces", "stops", "steps")
 
     def __init__(self, g: Graph, code: tuple) -> None:
         self.source = g
         self.version = g.version
         self.code = code
-        self.runs: dict[Variant, _Run] = {}
+        self.traces: dict[Variant, list[RuleEvent]] = {Variant.ETP: [], Variant.ETC: []}
+        self.stops: list[tuple] = []
+        self.steps = _fixpoint(g.copy(), self.traces)
 
     def holds(self, g: Graph, code: tuple) -> bool:
         """Same adjacency (isolated vertices included), same ``next_id``,
@@ -741,7 +749,7 @@ class _Kept:
                                   and g.adj == src.adj)))
 
 
-_thread = threading.local()  # .kept: this thread's _Kept for its last graph
+_thread = threading.local()  # .run: this thread's _Run of its last graph
 
 
 def _outcome(verdict: str, rule: str | None, events: list[RuleEvent],
@@ -770,35 +778,33 @@ def kernelize(inst: Instance) -> KernelOutcome:
     """
     g, k, variant = inst.graph, inst.k, inst.variant
     code = _rule_code()
-    kept = getattr(_thread, "kept", None)
-    if kept is None or not kept.holds(g, code):
-        _thread.kept = None  # let the old runs go before the new one grows
-        kept = _thread.kept = _Kept(g, code)
-    run = kept.runs.get(variant)
-    if run is None:
-        run = kept.runs[variant] = _Run(g, variant)
+    run = getattr(_thread, "run", None)
+    if run is None or not run.holds(g, code):
+        _thread.run = None  # let the old run go before the new one grows
+        run = _thread.run = _Run(g, code)
     # A failure's events stay in ``trace``: perfbench's ``_partial_trace``
     # reads this frame's list local of that name from the traceback
     # (tests/test_rules.py pins it), so keep both the name and the frame.
-    trace, stops = run.trace, run.stops
+    trace, stops = run.traces[variant], run.stops
     i = 0
     while True:
         if i == len(stops):
             try:
                 stops.append(next(run.steps))
             except BaseException:
-                del kept.runs[variant]  # a run that raised cannot resume
+                _thread.run = None  # a run that raised cannot resume
                 raise
-        rule, end, offset, value = stops[i]
+        rule, end, offsets, value = stops[i]
+        k_now = k + offsets[variant]
         if rule is None:
             kernel, packing = value
             return _outcome("reduced", None, trace,
-                            Instance(kernel.copy(), k + offset, variant), packing)
+                            Instance(kernel.copy(), k_now, variant), packing)
         if rule == "R1":
-            verdict, packing = terminal_verdict(value, k + offset, variant), None
+            verdict, packing = terminal_verdict(value, k_now, variant), None
         else:
             size, packing = value
-            verdict = threshold_verdict(size, k + offset, variant)
+            verdict = threshold_verdict(size, k_now, variant)
         if verdict is not None:
             return _outcome(verdict, rule, trace[:end], None, packing)
         i += 1
@@ -857,37 +863,21 @@ def lift_solution(trace: Sequence[RuleEvent], reduced_solution: Sequence,
     contributes one of its triangles (packing) or a perfect pair of its edges
     (covering); a split event renames the minted vertices back.
     """
-    if variant is Variant.ETP:
-        solution = {triangle_key(*t) for t in reduced_solution}
-    else:
-        solution = {edge_key(*e) for e in reduced_solution}
-
+    etp = variant is Variant.ETP
+    key = triangle_key if etp else edge_key
+    solution = {key(*item) for item in reduced_solution}
     for ev in reversed(trace):
         if ev.rule == "R9":
-            if variant is Variant.ETP:
-                solution.update(triangle_key(c, *e) for c, e in ev.crown_witness)
-            else:
-                solution.update(ev.head_edges)
+            solution.update([triangle_key(c, *e) for c, e in ev.crown_witness]
+                            if etp else ev.head_edges)
         elif ev.rule == "R3":
             a, b, c, d = ev.quad
-            if variant is Variant.ETP:
-                solution.add(triangle_key(a, b, c))
-            else:
-                solution.add(edge_key(a, b))
-                solution.add(edge_key(c, d))
+            solution.update([triangle_key(a, b, c)] if etp
+                            else [edge_key(a, b), edge_key(c, d)])
         elif ev.rule == "R4":
-            v = ev.split_vertex
-            minted = set(ev.split_minted)
-            if variant is Variant.ETP:
-                solution = {
-                    triangle_key(*(v if x in minted else x for x in t))
-                    for t in solution
-                }
-            else:
-                solution = {
-                    edge_key(*(v if x in minted else x for x in e))
-                    for e in solution
-                }
+            v, minted = ev.split_vertex, set(ev.split_minted)
+            solution = {key(*(v if x in minted else x for x in item))
+                        for item in solution}
     return sorted(solution)
 
 

@@ -171,6 +171,34 @@ class TestVerifyCommand:
         assert main(["verify", "--manifest", str(manifest)]) == 0
         assert "empty corpus" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("manifest, flags", [
+        ([1], None),
+        ({"kind": 1}, None),
+        ([{"seed": 1}], None),
+        ([{"kind": "nope", "seed": 1}], None),
+        ([{"kind": "erdos_renyi", "seed": 1, "n": "8"}], None),
+        (None, ["--kind", "nope"]),
+        (None, ["--kind", "erdos_renyi", "--n", "-3"]),
+        (None, ["--kind", "crown_gadgets", "--fans", "1"]),
+    ])
+    def test_bad_spec_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                     manifest, flags):
+        import trikernel.cli as cli_mod
+
+        def never(payload):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli_mod, "_verify_one", never)
+        if flags is None:
+            path = tmp_path / "corpus.json"
+            path.write_text(json.dumps(manifest))
+            flags = ["--manifest", str(path)]
+        assert main(["verify", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_injected_rule_bug_is_caught(self, capsys, monkeypatch):
         # mutation harness: corrupt the pruning rule so it deletes a vertex
         # that sits inside a triangle; verify must flag mismatches

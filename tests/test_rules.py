@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trikernel.gen import corpus_specs, generate
+from trikernel.gen import GenSpec, corpus_specs, generate
 from trikernel.graph import (
     Graph,
     GraphError,
@@ -33,6 +33,7 @@ from trikernel.rules import (
     find_revertex,
     find_splittable,
     finish,
+    for_variant,
     is_valid_cover_solution,
     is_valid_packing_solution,
     kernelize,
@@ -60,9 +61,10 @@ VARIANTS = (Variant.ETP, Variant.ETC)
 def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
     """One application of ``rule`` on copies: the new instance (graph rules)
     or the rewritten packing (R6-R8), or None when the rule does not apply."""
-    ev = rule_event(rule, inst.graph, inst.variant, s)
+    ev = rule_event(rule, inst.graph, s)
     if ev is None:
         return None
+    ev = for_variant(ev, inst.variant)
     out = Instance(inst.graph.copy(), inst.k + ev.k_delta, inst.variant)
     packing = None if s is None else s.copy()
     apply_event(out.graph, ev, packing)
@@ -91,7 +93,7 @@ def reference_kernelize(inst: Instance):
             return verdict, "R1", trace, counters, None, s
         ev = None
         for rule in ("R2", "R3", "R4"):
-            ev = ev or rule_event(rule, g, variant)
+            ev = ev or rule_event(rule, g)
         if ev is None:
             if s is None:
                 s = grow(TrianglePacking())
@@ -100,10 +102,11 @@ def reference_kernelize(inst: Instance):
                 counters["R5"] += 1
                 return verdict, "R5", trace, counters, None, s
             for rule in ("R6", "R7", "R8", "R9"):
-                ev = ev or rule_event(rule, g, variant, s)
+                ev = ev or rule_event(rule, g, s)
             if ev is None:
                 return ("reduced", None, trace, counters,
                         (k, g.edges(), g.vertices()), s)
+        ev = for_variant(ev, variant)
         apply_event(g, ev, s)
         k += ev.k_delta
         if ev.rule in SWAP_RULES:
@@ -277,12 +280,12 @@ class TestSplitLemma:
     def check_split_chain(g: Graph) -> int:
         # exhaust R2/R3, then follow every split the driver would make
         while True:
-            ev = rule_event("R2", g, Variant.ETP) or rule_event("R3", g, Variant.ETP)
+            ev = rule_event("R2", g) or rule_event("R3", g)
             if ev is None:
                 break
             apply_event(g, ev)
         splits = 0
-        while (ev := rule_event("R4", g, Variant.ETP)) is not None:
+        while (ev := rule_event("R4", g)) is not None:
             triangles = len(enumerate_triangles(g))
             apply_event(g, ev)
             splits += 1
@@ -653,9 +656,25 @@ def _sweep_digest(graphs: list[Graph], order: list[tuple]) -> str:
     return h.hexdigest()
 
 
+def _kernelize_frame_traces(exc: BaseException) -> list:
+    """The ``trace`` local of every ``kernelize`` frame ``exc`` passed."""
+    traces = []
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_name == "kernelize":
+            traces.append(tb.tb_frame.f_locals.get("trace"))
+        tb = tb.tb_next
+    return traces
+
+
+def _broken_augment_one(g, s, spanners=None):
+    """An R6 finder whose swap puts triangles outside the graph."""
+    return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
+
+
 class TestPausedRuns:
-    """``kernelize`` keeps the k-free runs of the last graph per thread;
-    nothing a caller does may show through them."""
+    """``kernelize`` keeps one k-free run of the last graph per thread, for
+    both problems; nothing a caller does may show through it."""
 
     def test_sweep_order_does_not_change_any_outcome(self):
         graphs = [generate(spec) for spec in corpus_specs(23, 30, "kernel")]
@@ -711,10 +730,7 @@ class TestPausedRuns:
     def test_an_invariant_failure_is_raised_again(self, monkeypatch):
         import trikernel.rules as rules_mod
 
-        def broken(g, s, spanners=None):
-            return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
-
-        monkeypatch.setattr(rules_mod, "find_augment_one", broken)
+        monkeypatch.setattr(rules_mod, "find_augment_one", _broken_augment_one)
         g = complete_graph(5)
         assert kernelize(Instance(g, 1, Variant.ETP)).verdict == "yes"
         for _ in range(2):
@@ -727,24 +743,57 @@ class TestPausedRuns:
         the traceback frame of ``kernelize``, in its list local ``trace``."""
         import trikernel.rules as rules_mod
 
-        def broken(g, s, spanners=None):
-            return s.sorted_triangles()[0], [(90, 91, 92), (93, 94, 95)]
-
         g = complete_graph(5)
         g.add_edge(5, 6)  # in no triangle: R2 removes it first
         first = kernelize(Instance(g, 4, Variant.ETP)).trace[0]
-        monkeypatch.setattr(rules_mod, "find_augment_one", broken)
+        monkeypatch.setattr(rules_mod, "find_augment_one", _broken_augment_one)
         with pytest.raises(GraphError, match="leave the graph") as info:
             kernelize(Instance(g, 4, Variant.ETP))
-        traces = []
-        tb = info.value.__traceback__
-        while tb is not None:
-            if tb.tb_frame.f_code.co_name == "kernelize":
-                traces.append(tb.tb_frame.f_locals.get("trace"))
-            tb = tb.tb_next
+        traces = _kernelize_frame_traces(info.value)
         assert len(traces) == 1 and isinstance(traces[0], list)
         assert [ev.to_json() for ev in traces[0]] == [first.to_json()]
         assert first.rule == "R2"
+
+    def test_an_etc_failure_leaves_the_etc_events_in_the_kernelize_frame(
+            self, monkeypatch):
+        import trikernel.rules as rules_mod
+
+        g = complete_graph(4)  # an exclusive K4: R3 removes it first
+        for u, v in complete_graph(5, offset=10).edges():
+            g.add_edge(u, v)
+        assert [ev.k_delta for ev in kernelize(Instance(g, 9, Variant.ETP)).trace
+                if ev.rule == "R3"] == [-1]
+        monkeypatch.setattr(rules_mod, "find_augment_one", _broken_augment_one)
+        with pytest.raises(GraphError, match="leave the graph") as info:
+            kernelize(Instance(g, 9, Variant.ETC))
+        traces = _kernelize_frame_traces(info.value)
+        assert len(traces) == 1 and isinstance(traces[0], list)
+        assert [(ev.rule, ev.k_delta) for ev in traces[0]] == [("R3", -2), ("R2", 0)]
+
+    def test_both_problems_at_every_k_drive_one_run(self, monkeypatch):
+        import trikernel.rules as rules_mod
+        original = rules_mod.find_prunable
+        g = generate(GenSpec("k4_gadgets", 5, count=3, noise=3))
+        for u, v in complete_graph(5, offset=20).edges():
+            g.add_edge(u, v)
+
+        def sweep_calls(variants) -> int:
+            calls = []
+
+            def counted(graph):
+                calls.append(graph.n)
+                return original(graph)
+
+            # a newly bound finder makes the kept run stale: the sweep starts afresh
+            monkeypatch.setattr(rules_mod, "find_prunable", counted)
+            for k in range(g.n + 1):
+                for variant in variants:
+                    kernelize(Instance(g, k, variant))
+            return len(calls)
+
+        alone = [sweep_calls((variant,)) for variant in VARIANTS]
+        assert min(alone) > 0
+        assert sweep_calls(VARIANTS) == max(alone)
 
     def test_a_rebound_finder_is_used_on_a_kept_graph(self, monkeypatch):
         import trikernel.rules as rules_mod
