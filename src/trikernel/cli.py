@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -197,13 +198,17 @@ def _corpus_from_args(args) -> list[GenSpec]:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs {args.jobs} is not a positive count", EXIT_INPUT)
     specs = _corpus_from_args(args)
     if not specs:
         print("warning: empty corpus, nothing to verify")
         return EXIT_OK
     payloads = [(spec.to_json(), args.max_n) for spec in specs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker at once, so start no more than can be busy
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, payloads))
     else:
         results = [_verify_one(p) for p in payloads]

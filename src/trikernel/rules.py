@@ -90,6 +90,11 @@ _EVENT_FIELDS = {
 }
 
 
+# .run: this thread's _Run of its last graph;
+# .texts: the event texts of the last trace it wrote (trace_to_json)
+_thread = threading.local()
+
+
 class RuleEvent(NamedTuple):
     """One rule application; carries enough payload for replay and lifting.
 
@@ -215,8 +220,81 @@ def _witness_pair(x: object) -> tuple[int, Edge]:
     return _vertex(x[0]), _ids(x[1], 2, "edge")
 
 
+def _template(shape, level: int) -> str:
+    """The ``%`` template of one value of ``shape`` (``int`` or a tuple of
+    shapes) as ``json.dumps(..., indent=1)`` writes it at ``level``."""
+    if shape is int:
+        return "%d"
+    pad = "\n" + " " * (level + 1)
+    return ("[" + pad + ("," + pad).join(_template(s, level + 1) for s in shape)
+            + "\n" + " " * level + "]")
+
+
+def _list_writer(shape, level: int):
+    """Writes a list of ``shape`` values whose ``[`` is at ``level``."""
+    item = _template(shape, level + 1)
+    pad = "\n" + " " * (level + 1)
+    head, sep, tail = "[" + pad, "," + pad, "\n" + " " * level + "]"
+    return lambda values: (head + sep.join(map(item.__mod__, values)) + tail
+                           if values else "[]")
+
+
+# an event is at level 2 of a trace, its fields at 3, split and crown fields at 4
+_INTS_3, _INTS_4 = _list_writer(int, 3), _list_writer(int, 4)
+_EDGES_3, _EDGES_4 = _list_writer((int, int), 3), _list_writer((int, int), 4)
+_TRIANGLES_3 = _list_writer((int, int, int), 3)
+_WITNESS_4 = _list_writer((int, (int, int)), 4)
+_string = json.encoder.encode_basestring_ascii
+
+
+def _event_text(ev: RuleEvent) -> str:
+    """``ev.to_json()`` as ``json.dumps(..., indent=1)`` writes it at level 2."""
+    fields = ['"rule": ' + _string(ev.rule), '"k_delta": %d' % ev.k_delta]
+    if ev.removed_vertices:
+        fields.append('"removed_vertices": ' + _INTS_3(ev.removed_vertices))
+    if ev.removed_edges:
+        fields.append('"removed_edges": ' + _EDGES_3(ev.removed_edges))
+    if ev.split_vertex is not None:
+        fields.append(
+            '"split": {\n    "vertex": %d,\n    "part1": %s,\n    "part2": %s,'
+            '\n    "minted": %s\n   }'
+            % (ev.split_vertex, _EDGES_4(ev.split_part1), _EDGES_4(ev.split_part2),
+               _INTS_4(ev.split_minted or ())))
+    if ev.quad is not None:
+        fields.append('"quad": ' + _INTS_3(ev.quad))
+    if ev.crown_vertices:
+        fields.append(
+            '"crown": {\n    "vertices": %s,\n    "head": %s,\n    "witness": %s\n   }'
+            % (_INTS_4(ev.crown_vertices), _EDGES_4(ev.head_edges),
+               _WITNESS_4(tuple((c, *e) for c, e in ev.crown_witness))))
+    if ev.packing_removed or ev.packing_added:
+        fields.append('"packing_removed": ' + _TRIANGLES_3(ev.packing_removed))
+        fields.append('"packing_added": ' + _TRIANGLES_3(ev.packing_added))
+    return "{\n   " + ",\n   ".join(fields) + "\n  }"
+
+
 def trace_to_json(trace: Sequence[RuleEvent]) -> str:
-    return json.dumps({"events": [ev.to_json() for ev in trace]}, indent=1)
+    """``json.dumps({"events": [ev.to_json() for ev in trace]}, indent=1)``,
+    byte for byte, for events whose fields hold ints (as every event built by
+    the package or read by :func:`trace_from_json` does).
+
+    Each thread keeps the text of every event of the last non-empty trace it
+    wrote, so a trace that shares events with it (the per-k traces of one
+    graph are prefixes of one run) writes only its new events.  The memo
+    holds one trace's events at most.
+    """
+    if not trace:
+        return '{\n "events": []\n}'
+    last = getattr(_thread, "texts", {})
+    texts, parts = {}, []
+    for ev in trace:
+        entry = last.get(id(ev))
+        if entry is None or entry[0] is not ev:
+            entry = ev, _event_text(ev)
+        texts[id(ev)] = entry
+        parts.append(entry[1])
+    _thread.texts = texts
+    return '{\n "events": [\n  ' + ",\n  ".join(parts) + "\n ]\n}"
 
 
 def trace_from_json(text: str) -> list[RuleEvent]:
@@ -747,9 +825,6 @@ class _Run:
         return (src.version == self.version and self.code == code
                 and (g is src or (g.next_id == src.next_id and g.m == src.m
                                   and g.adj == src.adj)))
-
-
-_thread = threading.local()  # .run: this thread's _Run of its last graph
 
 
 def _outcome(verdict: str, rule: str | None, events: list[RuleEvent],

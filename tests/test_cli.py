@@ -72,6 +72,30 @@ class TestKernelizeCommand:
         second = {f.name: f.read_bytes() for f in out.iterdir()}
         assert first == second
 
+    def test_an_etc_trace_of_every_event_kind_is_the_json_bytes(self, tmp_path,
+                                                               capsys):
+        # an exclusive K4 (R3), a bowtie (R4) and a triangle spanned by three
+        # fans (R9), apart from each other
+        edges = [(u, v) for u, v in combinations(range(4), 2)]
+        edges += [(10, 11), (10, 12), (11, 12), (10, 13), (10, 14), (13, 14)]
+        edges += [(20, 21), (20, 22), (21, 22)]
+        edges += [(f, end) for f in (23, 24, 25) for end in (20, 21)]
+        path = tmp_path / "g.txt"
+        path.write_text("\n".join(f"{u} {v}" for u, v in edges))
+        out = tmp_path / "run"
+        args = ["kernelize", "--problem", "etc", "--k", "5", "--out",
+                str(out), str(path)]
+        assert main(args) == 0
+        text = (out / "trace.json").read_text()
+        trace = trace_from_json(text)
+        assert {"R3", "R4", "R9"} <= {ev.rule for ev in trace}
+        assert [ev.k_delta for ev in trace if ev.rule == "R3"] == [-2]
+        assert text == json.dumps({"events": [ev.to_json() for ev in trace]},
+                                  indent=1)
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert main(args) == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
     def test_oversized_dimacs_header_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "huge.col"
         path.write_text("p edge 1000000000 0\n")
@@ -215,6 +239,55 @@ class TestVerifyCommand:
         monkeypatch.setattr(rules_mod, "find_prunable", broken)
         assert main(["verify", "--instances", "8", "--seed", "4"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_input_error(self, capsys, monkeypatch, jobs):
+        import trikernel.cli as cli_mod
+
+        def never(payload):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(cli_mod, "_verify_one", never)
+        assert main(["verify", "--instances", "2", "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("jobs, instances, cpus, workers", [
+        (5000, 2, 4, 2),
+        (5000, 6, 4, 4),
+        (3, 6, 4, 3),
+        (5000, 6, None, None),
+        (1, 6, 4, None),
+    ])
+    def test_workers_are_capped_by_instances_and_cpus(self, capsys, monkeypatch,
+                                                      jobs, instances, cpus,
+                                                      workers):
+        import trikernel.cli as cli_mod
+        pools = []
+
+        class SerialPool:  # records its size, starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        flags = ["verify", "--instances", str(instances), "--seed", "9"]
+        assert main([*flags, "--jobs", str(jobs)]) == 0
+        assert pools == ([] if workers is None else [workers])
+        pooled = capsys.readouterr().out
+        assert main(flags) == 0
+        assert capsys.readouterr().out == pooled
 
     def test_parallel_jobs_agree_with_serial(self, capsys):
         assert main(["verify", "--instances", "6", "--seed", "9",

@@ -6,7 +6,7 @@ import threading
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trikernel.gen import GenSpec, corpus_specs, generate
@@ -24,6 +24,7 @@ from trikernel.packing import TrianglePacking, greedy_maximal_packing, labeled_e
 from trikernel.rules import (
     RULE_IDS,
     SWAP_RULES,
+    RuleEvent,
     apply_event,
     find_augment_one,
     find_augment_two,
@@ -844,6 +845,139 @@ class TestPausedRuns:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(results[call] == [serial[call]] * 4 for call in serial)
+
+
+def _reference_json(trace) -> str:
+    return json.dumps({"events": [ev.to_json() for ev in trace]}, indent=1)
+
+
+_ids = st.integers(min_value=0, max_value=10**6)
+_edges = st.tuples(_ids, _ids)
+_events = st.builds(
+    RuleEvent,
+    rule=st.sampled_from(RULE_IDS),
+    k_delta=st.integers(min_value=-40, max_value=40),
+    removed_vertices=st.lists(_ids, max_size=4).map(tuple),
+    removed_edges=st.lists(_edges, max_size=3).map(tuple),
+    split_vertex=st.none() | _ids,
+    split_part1=st.lists(_edges, max_size=3).map(tuple),
+    split_part2=st.lists(_edges, max_size=3).map(tuple),
+    split_minted=st.none() | _edges,
+    quad=st.none() | st.tuples(_ids, _ids, _ids, _ids),
+    crown_vertices=st.lists(_ids, max_size=3).map(tuple),
+    head_edges=st.lists(_edges, max_size=3).map(tuple),
+    crown_witness=st.lists(st.tuples(_ids, _edges), max_size=3).map(tuple),
+    packing_removed=st.lists(st.tuples(_ids, _ids, _ids), max_size=3).map(tuple),
+    packing_added=st.lists(st.tuples(_ids, _ids, _ids), max_size=3).map(tuple),
+)
+
+
+class TestTraceText:
+    """``trace_to_json`` writes the bytes ``json.dumps(..., indent=1)`` writes,
+    and its per-thread memo of the last trace's event texts never shows."""
+
+    @given(st.lists(_events, max_size=6))
+    @example([RuleEvent("R4", split_vertex=7, split_minted=None),
+              RuleEvent("R9", k_delta=-12, crown_vertices=(105, 3), head_edges=((3, 44),)),
+              RuleEvent("R6", packing_added=((1, 20, 300),)),
+              RuleEvent("R7", packing_removed=((1, 20, 300),)),
+              RuleEvent("R3", k_delta=-2, quad=(10, 11, 12, 13))])
+    @example([])
+    @settings(max_examples=150, deadline=None)
+    def test_any_events_give_the_json_bytes(self, trace):
+        assert trace_to_json(trace) == _reference_json(trace)
+
+    def test_every_corpus_trace_gives_the_json_bytes_and_round_trips(self):
+        rules = set()
+        for spec in corpus_specs(11, 40, "small"):
+            g = generate(spec)
+            for k in range(g.n + 1):
+                for variant in VARIANTS:
+                    trace = kernelize(Instance(g, k, variant)).trace
+                    text = trace_to_json(trace)
+                    assert text == _reference_json(trace)
+                    assert trace_from_json(text) == trace
+                    rules.update(ev.rule for ev in trace)
+        assert rules == set(RULE_IDS) - {"R1", "R5"}
+        assert trace_to_json([]) == _reference_json([]) == '{\n "events": []\n}'
+
+    def test_problems_and_graphs_in_turn_get_their_own_texts(self):
+        gadgets = generate(GenSpec("k4_gadgets", 3, count=3, noise=2))
+        other = spanned_triangle(3)
+        other.add_edge(8, 9)
+        etp_r3 = [ev for ev in kernelize(Instance(gadgets, gadgets.n, Variant.ETP)).trace
+                  if ev.rule == "R3"]
+        etc_r3 = [ev for ev in kernelize(Instance(gadgets, gadgets.n, Variant.ETC)).trace
+                  if ev.rule == "R3"]
+        assert etp_r3 and [ev.k_delta for ev in etp_r3] == [-1] * len(etp_r3)
+        assert [ev.k_delta for ev in etc_r3] == [-2] * len(etp_r3)
+        for k in range(gadgets.n + 1):
+            for variant in (Variant.ETP, Variant.ETC, Variant.ETP):
+                for g in (gadgets, other):
+                    trace = kernelize(Instance(g, k, variant)).trace
+                    assert trace_to_json(trace) == _reference_json(trace)
+
+    def test_reused_ids_get_their_own_texts(self):
+        ids, kept = [], RuleEvent("R2", removed_vertices=(0,))
+        for i in range(2000):
+            ev = RuleEvent("R2", k_delta=-(i % 3), removed_vertices=(i,))
+            ids.append(id(ev))
+            trace = [kept, ev] if i % 2 else [ev]
+            assert trace_to_json(trace) == _reference_json(trace)
+            if i % 7 == 0:
+                kept = ev
+        assert len(set(ids)) < len(ids)  # the test did reuse ids
+
+    def test_a_repeated_trace_or_prefix_encodes_no_event_again(self, monkeypatch):
+        import trikernel.rules as rules_mod
+        original = rules_mod._event_text
+        calls = []
+
+        def counted(ev):
+            calls.append(ev)
+            return original(ev)
+
+        monkeypatch.setattr(rules_mod, "_event_text", counted)
+        g = generate(GenSpec("k4_gadgets", 4, count=3, noise=3))
+        trace = [RuleEvent("R2", removed_vertices=(v,)) for v in range(3)]
+        trace += kernelize(Instance(g, g.n, Variant.ETC)).trace
+        for part, encoded in ((trace, len(trace)), (trace, 0), (trace[:4], 0),
+                              (trace[:2], 0), (trace, len(trace) - 2)):
+            calls.clear()
+            assert trace_to_json(part) == _reference_json(part)
+            assert len(calls) == encoded
+
+    def test_threads_get_the_serial_bytes(self):
+        traces = [kernelize(Instance(g, k, variant)).trace
+                  for g in (generate(spec) for spec in corpus_specs(5, 6, "kernel"))
+                  for k in range(0, g.n + 1, 3) for variant in VARIANTS]
+        serial = [_reference_json(trace) for trace in traces]
+        got: dict = {}
+        rounds = 10
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(rounds):
+                for i in rng.sample(range(len(traces)), len(traces)):
+                    try:
+                        text = trace_to_json(traces[i])
+                    except Exception as exc:  # a thread must report, not die
+                        text = repr(exc)
+                    got.setdefault(i, []).append(text)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: [text] * rounds * 6 for i, text in enumerate(serial)}
 
 
 class TestLiftSolution:
