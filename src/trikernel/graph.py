@@ -124,9 +124,6 @@ class Graph:
     def common_neighbors(self, u: int, v: int) -> set[int]:
         return self.adj[u] & self.adj[v]
 
-    def incident_edges(self, v: int) -> list[Edge]:
-        return sorted(edge_key(v, u) for u in self.adj[v])
-
     # -- mutation ----------------------------------------------------------
 
     def add_vertex(self, v: int | None = None) -> int:
@@ -159,40 +156,40 @@ class Graph:
         self._m -= 1
         self.version += 1
 
-    def remove_vertex(self, v: int) -> list[Edge]:
-        """Delete ``v`` and its incident edges; returns the removed edges."""
+    def remove_vertex(self, v: int) -> None:
+        """Delete ``v`` and its incident edges."""
         if v not in self.adj:
             raise GraphError(f"no vertex {v}")
-        removed = self.incident_edges(v)
-        for u in self.adj[v]:
+        nbrs = self.adj.pop(v)
+        for u in nbrs:
             self.adj[u].discard(v)
-        self._m -= len(removed)
-        del self.adj[v]
+        self._m -= len(nbrs)
         self.version += 1
-        return removed
 
     def split(self, v: int, part1: Iterable[Edge], part2: Iterable[Edge]) -> tuple[int, int]:
         """Split ``v`` in place, attaching ``part1`` to a fresh vertex and
         ``part2`` to another.  The parts must partition the edges incident to
-        ``v`` and both be nonempty; returns the two minted ids.
+        ``v`` and both be nonempty; returns the two minted ids.  Each
+        neighbour trades ``v`` for a fresh vertex, so ``m`` does not change.
         """
+        if v not in self.adj:
+            raise GraphError(f"no vertex {v}")
         e1 = {edge_key(*e) for e in part1}
         e2 = {edge_key(*e) for e in part2}
-        incident = set(self.incident_edges(v))
         if not e1 or not e2:
             raise GraphError("both split parts must be nonempty")
-        if e1 & e2 or e1 | e2 != incident:
+        if e1 & e2 or e1 | e2 != {edge_key(v, u) for u in self.adj[v]}:
             raise GraphError(f"split parts do not partition edges at {v}")
-        v1 = self.add_vertex()
-        v2 = self.add_vertex()
-        for part, fresh in ((e1, v1), (e2, v2)):
-            for a, b in part:
-                other = b if a == v else a
-                self.remove_edge(v, other)
-                self.add_edge(fresh, other)
+        minted = self.add_vertex(), self.add_vertex()
+        for part, fresh in zip((e1, e2), minted):
+            moved = {b if a == v else a for a, b in part}
+            for u in moved:
+                self.adj[u].discard(v)
+                self.adj[u].add(fresh)
+            self.adj[fresh] = moved
         del self.adj[v]
         self.version += 1
-        return v1, v2
+        return minted
 
 
 # -- problem instances -----------------------------------------------------

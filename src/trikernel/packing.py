@@ -72,9 +72,31 @@ class TrianglePacking:
 
 
 def greedy_maximal_packing(g: Graph) -> TrianglePacking:
-    """Greedy packing over the lexicographic triangle order (deterministic)."""
+    """Greedy packing over the lexicographic triangle order (deterministic).
+
+    A sorted ``u < v < w`` walk over ``avail``, each vertex's neighbours
+    through an edge not yet packed.  ``free`` holds ``u``'s free neighbours
+    above ``u`` not yet visited as ``v``, so ``free & avail[v]`` is every
+    ``w > v`` that completes a fitting triangle; the smallest is the one the
+    lexicographic order tries first, and packing it blocks ``(u, v)`` for
+    every other ``w``.  Extra memory is O(n + m).
+    """
     s = TrianglePacking()
-    _extend_greedily(g, s)
+    avail = {u: set(nu) for u, nu in g.adj.items()}
+    for u in sorted(avail):
+        free = {x for x in avail[u] if x > u}
+        for v in sorted(free):
+            if v not in free:
+                continue
+            free.discard(v)
+            cand = free & avail[v]
+            if cand:
+                w = min(cand)
+                s.add((u, v, w))
+                free.discard(w)
+                for a, b in ((u, v), (u, w), (v, w)):
+                    avail[a].discard(b)
+                    avail[b].discard(a)
     return s
 
 
@@ -102,26 +124,6 @@ def remaximalize(g: Graph, s: TrianglePacking,
         if (a, b) not in packed and (a, c) not in packed and (b, c) not in packed:
             s.add(t)
     return s
-
-
-def _extend_greedily(g: Graph, s: TrianglePacking) -> None:
-    """Add every triangle that fits, in lexicographic order.
-
-    One sorted ``u < v < w`` walk: a packed ``(u, v)`` blocks every ``w``,
-    and once ``(u, v, w)`` is added, ``(u, v)`` is packed, so the walk moves
-    on to the next ``v``.
-    """
-    packed = s.edge_index
-    adj = g.adj
-    for u in sorted(adj):
-        au = adj[u]
-        for v in sorted(x for x in au if x > u):
-            if (u, v) in packed:
-                continue
-            for w in sorted(x for x in au & adj[v] if x > v):
-                if (u, w) not in packed and (v, w) not in packed:
-                    s.add((u, v, w))
-                    break
 
 
 def labeled_edges(g: Graph, s: TrianglePacking) -> set[Edge]:

@@ -367,32 +367,36 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
             sorted(e for e in dead_edges if e[0] in live and e[1] in live))
 
 
-def _is_exclusive_k4(g: Graph, quad: Sequence[int]) -> bool:
+def _is_exclusive_k4(adj: dict[int, set[int]], quad: Sequence[int]) -> bool:
     members = set(quad)
-    for a, b in combinations(sorted(quad), 2):
-        if not g.has_edge(a, b):
-            return False
-        if g.common_neighbors(a, b) != members - {a, b}:
+    for a, b in combinations(quad, 2):
+        if b not in adj[a] or adj[a] & adj[b] != members - {a, b}:
             return False
     return True
 
 
 def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
-    """Rule 3: four vertices inducing a K4 whose six edges lie only in the
-    four internal triangles.  Each edge of such a K4 has exactly the other
-    two members as common neighbors, so edges with |common| != 2 are skipped
-    immediately."""
-    for u, v in g.edges():
-        common = g.common_neighbors(u, v)
-        if len(common) != 2:
-            continue
-        w, x = sorted(common)
-        quad = tuple(sorted((u, v, w, x)))
-        if (u, v) != quad[:2]:
-            continue  # visit each quadruple once, from its smallest edge
-        if g.has_edge(w, x) and _is_exclusive_k4(g, quad):
-            return quad  # type: ignore[return-value]
-    return None
+    """Rule 3: the lexicographically smallest four vertices inducing a K4
+    whose six edges lie only in the four internal triangles.
+
+    Each edge of such a K4 has exactly the other two members as common
+    neighbours, so edges with |common| != 2 are skipped at once, and the
+    K4's smallest edge alone determines it.  The scan visits each quad from
+    that edge, in ``adj`` order, and keeps the smallest hit.
+    """
+    adj = g.adj
+    best = None
+    for u, nu in adj.items():
+        for v in nu:
+            if v > u:
+                common = nu & adj[v]
+                if len(common) == 2:
+                    w, x = sorted(common)
+                    quad = (u, v, w, x)
+                    if (v < w and (best is None or quad < best)
+                            and _is_exclusive_k4(adj, quad)):
+                        best = quad
+    return best
 
 
 def find_splittable(
@@ -405,6 +409,10 @@ def find_splittable(
     grows from the smallest incident edge (the one to the smallest neighbor)
     and the second holds every other component.
 
+    The search from the smallest neighbour meets each popped vertex with
+    ``rest``, the neighbours not reached yet, and stops once ``rest`` is
+    empty; if the queue runs dry first, ``rest`` is the other components.
+
     The driver passes ``after`` = the vertex it just split: no vertex below
     it can have become splittable (see the module docstring)."""
     adj = g.adj
@@ -413,16 +421,15 @@ def find_splittable(
         if len(nbrs) < 2:
             continue
         seed = min(nbrs)
-        comp = {seed}
+        rest = nbrs - {seed}
         queue = [seed]
-        while queue:
-            reached = adj[queue.pop()] & nbrs
-            reached -= comp
-            comp |= reached
+        while queue and rest:
+            reached = adj[queue.pop()] & rest
+            rest -= reached
             queue.extend(reached)
-        if len(comp) != len(nbrs):
-            part1 = sorted(edge_key(v, u) for u in comp)
-            part2 = sorted(edge_key(v, u) for u in nbrs - comp)
+        if rest:
+            part1 = sorted(edge_key(v, u) for u in nbrs - rest)
+            part2 = sorted(edge_key(v, u) for u in rest)
             return v, part1, part2
     return None
 

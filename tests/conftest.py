@@ -71,3 +71,28 @@ def graphs(draw, max_n: int = 8, min_n: int = 0):
         for u, v in chosen:
             g.add_edge(u, v)
     return g
+
+
+@st.composite
+def reshaped(draw, base):
+    """A graph drawn from ``base``, perhaps renamed in a drawn order onto
+    sparse ids near 10**9, then split at up to three vertices along drawn
+    partitions of their edges: ids far apart, inserted out of id order, and
+    minted by splits."""
+    g = draw(base)
+    if draw(st.booleans()):
+        order = draw(st.permutations(sorted(g.adj)))
+        name = {v: 10**9 + 7 * i for i, v in enumerate(order)}
+        g = Graph.from_edges(((name[u], name[v]) for u, v in g.edges()),
+                             vertices=[name[v] for v in sorted(g.adj)])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        candidates = [v for v in g.vertices() if len(g.adj[v]) >= 2]
+        if not candidates:
+            break
+        v = draw(st.sampled_from(candidates))
+        nbrs = sorted(g.adj[v])
+        side = draw(st.sets(st.sampled_from(nbrs), min_size=1,
+                            max_size=len(nbrs) - 1))
+        g.split(v, [(v, u) for u in nbrs if u in side],
+                [(v, u) for u in nbrs if u not in side])
+    return g

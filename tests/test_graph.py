@@ -224,6 +224,23 @@ class TestSplitVertex:
         with pytest.raises(GraphError):
             split_copy(g, 0, [(0, 1)], [])
 
+    def test_absent_vertex_is_contract_violation(self):
+        g = complete_graph(3)
+        with pytest.raises(GraphError, match="no vertex 9"):
+            g.split(9, [(9, 1)], [(9, 2)])
+        assert g.edges() == [(0, 1), (0, 2), (1, 2)] and g.next_id == 3
+
+    def test_split_moves_each_neighbour_and_keeps_m(self):
+        g = complete_graph(5)
+        g.add_edge(0, 7)
+        before = g.version
+        v1, v2 = g.split(0, [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 7)])
+        assert (v1, v2) == (8, 9) and g.m == 11 and g.version > before
+        assert g.adj[v1] == {1, 2, 3, 4} and g.adj[v2] == {7}
+        for u in (1, 2, 3, 4, 7):
+            assert 0 not in g.adj[u]
+        assert sum(len(nbrs) for nbrs in g.adj.values()) == 2 * g.m
+
     def test_triangle_bijection_under_rule_condition(self):
         # Parts that no triangle straddles: triangle count is preserved.
         g = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
@@ -240,10 +257,13 @@ class TestGraphBasics:
         g.remove_vertex(2)
         assert g.add_vertex() == 3
 
-    def test_remove_vertex_returns_edges(self):
-        g = complete_graph(3)
-        assert g.remove_vertex(1) == [(0, 1), (1, 2)]
-        assert g.m == 1
+    def test_remove_vertex_drops_its_edges(self):
+        g = complete_graph(4)
+        assert g.remove_vertex(1) is None
+        assert g.m == 3 and g.edges() == [(0, 2), (0, 3), (2, 3)]
+        assert all(1 not in nbrs for nbrs in g.adj.values())
+        with pytest.raises(GraphError, match="no vertex 1"):
+            g.remove_vertex(1)
 
     def test_add_edge_rejects_self_loop(self):
         with pytest.raises(GraphError):

@@ -11,7 +11,13 @@ from trikernel.packing import (
     triangle_components,
 )
 
-from conftest import complete_graph, disjoint_triangles, graphs, spanned_triangle
+from conftest import (
+    complete_graph,
+    disjoint_triangles,
+    graphs,
+    reshaped,
+    spanned_triangle,
+)
 
 
 class TestGreedyPacking:
@@ -96,8 +102,8 @@ def enumerated_greedy(g: Graph, s: TrianglePacking) -> TrianglePacking:
 
 
 class TestIncrementalUpkeep:
-    @given(graphs(max_n=10))
-    @settings(max_examples=100)
+    @given(reshaped(graphs(max_n=14)))
+    @settings(max_examples=200, deadline=None)
     def test_fused_greedy_equals_enumerated_greedy(self, g):
         assert (greedy_maximal_packing(g).triangles
                 == enumerated_greedy(g, TrianglePacking()).triangles)

@@ -53,6 +53,7 @@ from conftest import (
     cycle_graph,
     disjoint_triangles,
     graphs,
+    reshaped,
     spanned_triangle,
 )
 
@@ -176,6 +177,58 @@ def glued_graphs(draw):
     return g
 
 
+def brute_exclusive_k4(g: Graph):
+    """Rule 3 by definition: the lexicographically first 4-subset that
+    induces a K4 whose every edge has just the other two as common
+    neighbours."""
+    for quad in combinations(g.vertices(), 4):
+        if all(g.has_edge(a, b) for a, b in combinations(quad, 2)) and all(
+                {w for w in g.vertices() if g.has_edge(a, w) and g.has_edge(b, w)}
+                == set(quad) - {a, b} for a, b in combinations(quad, 2)):
+            return quad
+    return None
+
+
+def union_find_splittable(g: Graph, after=None):
+    """Rule 4 by definition: the first vertex above ``after`` whose
+    neighbourhood graph has two or more components, found by a plain
+    union-find over the edges inside ``N(v)``; the first part is the
+    component of the smallest neighbour."""
+    for v in g.vertices():
+        if after is not None and v <= after:
+            continue
+        nbrs = sorted(g.adj[v])
+        parent = {u: u for u in nbrs}
+
+        def root(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in combinations(nbrs, 2):
+            if g.has_edge(a, b):
+                parent[root(a)] = root(b)
+        first = root(nbrs[0]) if nbrs else None
+        part1 = [(min(v, u), max(v, u)) for u in nbrs if root(u) == first]
+        part2 = [(min(v, u), max(v, u)) for u in nbrs if root(u) != first]
+        if part2:
+            return v, sorted(part1), sorted(part2)
+    return None
+
+
+@st.composite
+def k4_studded(draw):
+    """A random graph with one to three K4s glued on, each at one vertex:
+    exclusive K4s, often several, which random graphs rarely hold."""
+    g = draw(graphs(max_n=8))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        glue = draw(st.sampled_from(sorted(g.adj))) if g.adj else g.add_vertex()
+        quad = [glue] + [g.add_vertex() for _ in range(3)]
+        for a, b in combinations(quad, 2):
+            g.add_edge(a, b)
+    return g
+
+
 def both_optima(g: Graph):
     return (solve_etp_exact(g, budget=False).optimum,
             solve_etc_exact(g, budget=False).optimum)
@@ -238,6 +291,20 @@ class TestRuleK4:
         g.add_edge(4, 1)  # edge (0,1) now lies in triangle (0,1,4)
         assert find_exclusive_k4(g) is None
 
+    def test_smallest_of_several_quads(self):
+        # three exclusive K4s, inserted out of id order
+        g = complete_graph(4, offset=20)
+        for offset in (30, 10):
+            for u, v in complete_graph(4, offset=offset).edges():
+                g.add_edge(u, v)
+        g.add_edge(13, 20)
+        assert find_exclusive_k4(g) == (10, 11, 12, 13)
+
+    @given(st.one_of(reshaped(graphs(max_n=12)), reshaped(k4_studded())))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force_search(self, g):
+        assert find_exclusive_k4(g) == brute_exclusive_k4(g)
+
     def test_decision_delta(self):
         g = complete_graph(4)
         g2 = apply_once(Instance(g, 5, Variant.ETP), "R3").graph
@@ -272,6 +339,13 @@ class TestRuleSplit:
     def test_decision_preserved(self):
         out = apply_once(Instance(bowtie(), 2, Variant.ETP), "R4")
         assert both_optima(bowtie()) == both_optima(out.graph)
+
+    @given(st.one_of(reshaped(graphs(max_n=12)), reshaped(glued_graphs())),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_union_find_components(self, g, data):
+        after = data.draw(st.one_of(st.none(), st.sampled_from(g.vertices() or [0])))
+        assert find_splittable(g, after) == union_find_splittable(g, after)
 
 
 class TestSplitLemma:
@@ -558,6 +632,19 @@ class TestKernelize:
         with pytest.raises(GraphError, match="trace event 0: R9 crown"):
             replay_trace(complete_graph(4), trace)
 
+    @pytest.mark.parametrize("event", [
+        {"rule": "R2", "removed_vertices": [9]},
+        {"rule": "R3", "quad": [0, 1, 2, 9], "removed_edges": [[0, 9]]},
+        {"rule": "R4", "split": {"vertex": 9, "part1": [[9, 1]], "part2": [[9, 2]],
+                                 "minted": [3, 4]}},
+        {"rule": "R9", "k_delta": -1, "crown": {"vertices": [9], "head": [[0, 1]],
+                                                "witness": [[9, [0, 1]]]}},
+    ], ids=["R2", "R3", "R4", "R9"])
+    def test_replay_of_an_absent_vertex_is_a_graph_error(self, event):
+        trace = trace_from_json(json.dumps({"events": [event]}))
+        with pytest.raises(GraphError):
+            replay_trace(complete_graph(3), trace)
+
     def test_replay_accepts_a_real_crown(self):
         g = spanned_triangle(2)
         out = kernelize(Instance(g, 2, Variant.ETP))
@@ -655,6 +742,24 @@ def _sweep_digest(graphs: list[Graph], order: list[tuple]) -> str:
     for key in sorted(seen):
         h.update(seen[key].encode())
     return h.hexdigest()
+
+
+class TestFrozenBehaviour:
+    """Every outcome on a fixed sample, pinned by value.
+    ``reference_kernelize`` calls the same finders as ``kernelize``, so
+    only a pinned value shows that a finder rewritten to change nothing
+    (a faster scan, an earlier exit) changed nothing.  A change that means
+    to alter behaviour prints the new value with ``_sweep_digest`` over
+    the same sample and order, and says why it moved."""
+
+    def test_kernel_corpus_digest_is_unchanged(self):
+        # corpus_specs(59, 60, "kernel") holds every event rule (R2-R4,
+        # R6-R9) and every R1/R5 yes and no verdict across its 2454 calls
+        graphs = [generate(spec) for spec in corpus_specs(59, 60, "kernel")]
+        order = [(i, k, variant) for i, g in enumerate(graphs)
+                 for k in range(g.n + 1) for variant in VARIANTS]
+        assert _sweep_digest(graphs, order) == (
+            "be5189c6755e76db067aeae18589ae3b6959a47f5ecac3fe06122a6619183d1b")
 
 
 def _kernelize_frame_traces(exc: BaseException) -> list:
