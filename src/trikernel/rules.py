@@ -21,6 +21,28 @@ the scan goes on with R3.  After a swap only the triangles through edges
 the swap freed can join the packing, and re-maximalization tries just
 those.
 
+R3 and R4 walk one ascending vertex order per run: the sorted input
+vertices, with each split's two minted ids appended (they exceed every id
+so far).  Vertices that are gone are skipped, and R4 resumes from the place
+of the vertex it last split, so no scan sorts the graph's vertices.
+
+The swap phase resumes too: the graph is fixed until the next graph event,
+so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
+(:func:`_strict_spanners`) are built once per graph state.  An entry reads
+the packed status of its edge and of the two side edges at each common
+neighbour, so after a swap only the entries of the edges whose status
+changed (those of the removed, added and re-maximalized triangles) and of
+the packed edges that share a triangle with them are recomputed.  R7 and
+R8 keep the vertex-sharing pairs they found without a witness.  A scan of
+a pair is a function of what it reads: whether both triangles are packed,
+the entries of their six edges, the packed status of their cross edges
+and, for R8, the free status of the vertices those entries list.  So a
+pair's verdict changes only when one of these does, and the pair is
+skipped until then; each scan still returns the lexicographically first
+pair with a witness.  A cross edge ``(a, b)`` of a pair that shares ``v``
+forms the triangle ``(a, b, v)`` with a packed edge of each, so the pairs
+it belongs to are found from the edges whose status changed.
+
 Only Rules 1 and 5 read ``k``, and they only end a run, so the runs on one
 graph at every ``k`` are prefixes of one k-free run.  That run is the same
 for both problems: the variant decides only the Rule 1 and Rule 5 verdicts
@@ -51,8 +73,9 @@ from __future__ import annotations
 
 import json
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .crown import (
@@ -375,18 +398,29 @@ def _is_exclusive_k4(adj: dict[int, set[int]], quad: Sequence[int]) -> bool:
     return True
 
 
-def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
+def find_exclusive_k4(
+    g: Graph, order: Sequence[int] | None = None,
+) -> tuple[int, int, int, int] | None:
     """Rule 3: the lexicographically smallest four vertices inducing a K4
     whose six edges lie only in the four internal triangles.
 
     Each edge of such a K4 has exactly the other two members as common
     neighbours, so edges with |common| != 2 are skipped at once, and the
-    K4's smallest edge alone determines it.  The scan visits each quad from
-    that edge, in ``adj`` order, and keeps the smallest hit.
+    K4's smallest edge alone determines it.  The scan walks ``u`` up
+    ``order``, meets each quad at its smallest edge ``(u, v)`` and returns
+    the smallest quad of the first ``u`` that has one: ``u`` is the quad's
+    smallest member.
+
+    ``order`` lists every vertex of ``g`` in ascending order and may list
+    vertices that are gone (they are skipped); :func:`kernelize` keeps
+    one per run (module docstring).  Without it the vertices are sorted.
     """
     adj = g.adj
-    best = None
-    for u, nu in adj.items():
+    for u in sorted(adj) if order is None else order:
+        nu = adj.get(u)
+        if nu is None:
+            continue
+        best = None
         for v in nu:
             if v > u:
                 common = nu & adj[v]
@@ -396,11 +430,13 @@ def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
                     if (v < w and (best is None or quad < best)
                             and _is_exclusive_k4(adj, quad)):
                         best = quad
-    return best
+        if best is not None:
+            return best
+    return None
 
 
 def find_splittable(
-    g: Graph, after: int | None = None,
+    g: Graph, after: int | None = None, order: Sequence[int] | None = None,
 ) -> tuple[int, list[Edge], list[Edge]] | None:
     """Rule 4: smallest vertex (above ``after``, if given) whose incident
     edges separate into triangle-disconnected parts.  Triangles through
@@ -414,11 +450,17 @@ def find_splittable(
     empty; if the queue runs dry first, ``rest`` is the other components.
 
     The driver passes ``after`` = the vertex it just split: no vertex below
-    it can have become splittable (see the module docstring)."""
+    it can have become splittable (see the module docstring).  It also
+    passes the run's ``order`` (as for :func:`find_exclusive_k4`), and the
+    scan resumes from ``after``'s place in it; without it the vertices are
+    sorted."""
     adj = g.adj
-    for v in sorted(v for v in adj if after is None or v > after):
-        nbrs = adj[v]
-        if len(nbrs) < 2:
+    if order is None:
+        order = sorted(adj)
+    start = 0 if after is None else bisect_right(order, after)
+    for v in islice(order, start, None):
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) < 2:
             continue
         seed = min(nbrs)
         rest = nbrs - {seed}
@@ -434,19 +476,25 @@ def find_splittable(
     return None
 
 
+def _spanning(adj: dict[int, set[int]], packed: dict, a: int, b: int) -> list[int]:
+    """The vertices spanning ``(a, b)`` through two free edges, ascending."""
+    return [w for w in sorted(adj[a] & adj[b])
+            if ((a, w) if a < w else (w, a)) not in packed
+            and ((b, w) if b < w else (w, b)) not in packed]
+
+
 def _strict_spanners(g: Graph, s: TrianglePacking) -> dict[Edge, list[int]]:
     """For each packed edge, the vertices spanning it through two free edges.
 
     These are exactly the candidate replacement triangles that use one packed
     edge and two edges outside the packing; vertices of the owning triangle
-    disqualify themselves because their side edges are packed.
+    disqualify themselves because their side edges are packed.  Edges with
+    no such vertex have no entry.
     """
-    packed = s.edge_index
+    adj, packed = g.adj, s.edge_index
     out: dict[Edge, list[int]] = {}
     for e in packed:
-        a, b = e
-        ws = [w for w in sorted(g.common_neighbors(a, b))
-              if edge_key(a, w) not in packed and edge_key(b, w) not in packed]
+        ws = _spanning(adj, packed, *e)
         if ws:
             out[e] = ws
     return out
@@ -519,20 +567,31 @@ def _first_disjoint_triple(cands: list[Triangle]) -> list[Triangle] | None:
 
 
 def _sharing_pairs(tris: list[Triangle]):
-    """Index pairs ``(i, j)``, ``i < j``, of triangles in ``tris`` that share
-    a vertex, in lexicographic order."""
+    """Index pairs ``(i, j)``, ``i < j``, of the edge-disjoint triangles
+    ``tris`` that share a vertex, in lexicographic order.
+
+    Each vertex's list of triangle indices ascends, and ``seen[v]`` counts
+    the triangles at ``v`` already passed, so its slice holds just the
+    later ones.  Two edge-disjoint triangles share at most one vertex, so
+    no ``j`` appears in two slices."""
     by_vertex: dict[int, list[int]] = {}
     for i, t in enumerate(tris):
         for v in t:
             by_vertex.setdefault(v, []).append(i)
-    for i, t in enumerate(tris):
-        for j in sorted({j for v in t for j in by_vertex[v] if j > i}):
+    seen = dict.fromkeys(by_vertex, 0)
+    for i, (a, b, c) in enumerate(tris):
+        seen[a] += 1
+        seen[b] += 1
+        seen[c] += 1
+        for j in sorted(by_vertex[a][seen[a]:] + by_vertex[b][seen[b]:]
+                        + by_vertex[c][seen[c]:]):
             yield i, j
 
 
 def find_augment_two(
     g: Graph, s: TrianglePacking,
     spanners: dict[Edge, list[int]] | None = None,
+    no_witness: dict[Triangle, set[Triangle]] | None = None,
 ) -> tuple[Triangle, Triangle, list[Triangle]] | None:
     """Rule 7: two packed triangles replaceable by three edge-disjoint ones.
 
@@ -540,21 +599,33 @@ def find_augment_two(
     over a single triangle's edges, so any witness triple needs a candidate
     touching both triangles - which exists only when they share a vertex.
     Only vertex-sharing pairs are scanned, in lexicographic pair order.
+
+    ``no_witness`` maps each packed triangle to the triangles it is known
+    to form no witness pair with; those pairs are skipped, and every pair
+    found without one is added.  A run keeps it from swap to swap and
+    forgets a pair when one of its inputs changes (module docstring).
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
+    if no_witness is None:
+        no_witness = {}
     tris = s.sorted_triangles()
     for i, j in _sharing_pairs(tris):
         t1, t2 = tris[i], tris[j]
+        if t2 in no_witness.get(t1, ()):
+            continue
         found = _first_disjoint_triple(_pair_candidates(g, s, t1, t2, spanners))
         if found is not None:
             return t1, t2, found
+        no_witness.setdefault(t1, set()).add(t2)
+        no_witness.setdefault(t2, set()).add(t1)
     return None
 
 
 def find_revertex(
     g: Graph, s: TrianglePacking,
     spanners: dict[Edge, list[int]] | None = None,
+    no_witness: dict[Triangle, set[Triangle]] | None = None,
 ) -> tuple[Triangle, Triangle, list[Triangle]] | None:
     """Rule 8: swap two packed triangles for two edge-disjoint triangles on
     the free vertices plus their own six, covering strictly more vertices.
@@ -564,10 +635,13 @@ def find_revertex(
     vertex outside the packing, so pairs without one are skipped.  Two
     triangles on six distinct vertices cannot be replaced by two covering
     more than six, so only vertex-sharing pairs are scanned, in
-    lexicographic pair order.
+    lexicographic pair order.  ``no_witness`` is kept as for
+    :func:`find_augment_two`, for this rule's pairs.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
+    if no_witness is None:
+        no_witness = {}
     free = g.vertex_set() - s.vertex_set()
     tris = s.sorted_triangles()
 
@@ -580,6 +654,8 @@ def find_revertex(
         if not (flagged[i] or flagged[j]):
             continue
         t1, t2 = tris[i], tris[j]
+        if t2 in no_witness.get(t1, ()):
+            continue
         base = set(t1) | set(t2)
         cands = _pair_candidates(g, s, t1, t2, spanners,
                                  vertex_filter=free | base)
@@ -588,6 +664,8 @@ def find_revertex(
                 continue
             if len(set(a) | set(b)) > len(base):
                 return t1, t2, [a, b]
+        no_witness.setdefault(t1, set()).add(t2)
+        no_witness.setdefault(t2, set()).add(t1)
     return None
 
 
@@ -623,18 +701,19 @@ def for_variant(ev: RuleEvent, variant: Variant) -> RuleEvent:
 
 def rule_event(rule: str, g: Graph,
                s: TrianglePacking | None = None,
-               spanners: dict[Edge, list[int]] | None = None,
-               after: int | None = None) -> RuleEvent | None:
+               state: _ScanState | None = None) -> RuleEvent | None:
     """The event of one application of ``rule`` to the current state, or None.
 
-    Rules 2-4 read only ``g``; Rule 4 scans only vertices above ``after``
-    when it is given.  Rules 6-9 also read the working packing ``s``, and
-    Rules 6-8 reuse ``spanners`` when the caller has them.  The event is the
-    same for both problems; an R3 event gets its ``k_delta`` from
-    :func:`for_variant`.  The finders are looked up as module globals at
-    call time, so replacing one on the module changes what every caller
-    sees.
+    Rules 2-4 read only ``g``, Rules 6-9 also read the working packing
+    ``s``.  The fixpoint loop passes its ``state``: R3 and R4 walk its vertex
+    order, R4 from its cursor on, R6-R8 read its spanners and R7 and R8
+    its witnessless pairs.  The event is the same for both problems; an R3
+    event gets its ``k_delta`` from :func:`for_variant`.  The finders are
+    looked up as module globals at call time, so replacing one on the
+    module changes what every caller sees.
     """
+    if state is None:
+        state = _ScanState()
     if rule == "R2":
         found = find_prunable(g)
         if found is not None:
@@ -642,12 +721,12 @@ def rule_event(rule: str, g: Graph,
             return RuleEvent("R2", removed_vertices=tuple(verts),
                              removed_edges=tuple(edges))
     elif rule == "R3":
-        quad = find_exclusive_k4(g)
+        quad = find_exclusive_k4(g, state.order)
         if quad is not None:
             return RuleEvent("R3", quad=quad, removed_edges=tuple(
                 edge_key(a, b) for a, b in combinations(quad, 2)))
     elif rule == "R4":
-        found = find_splittable(g, after)
+        found = find_splittable(g, state.after, state.order)
         if found is not None:
             v, part1, part2 = found
             # Graph.split mints the next two ids
@@ -655,13 +734,13 @@ def rule_event(rule: str, g: Graph,
                              split_part2=tuple(part2),
                              split_minted=(g.next_id, g.next_id + 1))
     elif rule == "R6":
-        found = find_augment_one(g, s, spanners)
+        found = find_augment_one(g, s, state.spanners)
         if found is not None:
             t, new = found
             return RuleEvent("R6", packing_removed=(t,), packing_added=tuple(new))
     elif rule in ("R7", "R8"):
         finder = find_augment_two if rule == "R7" else find_revertex
-        found = finder(g, s, spanners)
+        found = finder(g, s, state.spanners, state.no_witness[rule])
         if found is not None:
             t1, t2, new = found
             return RuleEvent(rule, packing_removed=(t1, t2),
@@ -715,6 +794,107 @@ _STRUCTURAL = ("R2", "R3", "R4")
 _RESCAN = {"R2": ("R3", "R4"), "R4": ("R4",)}
 
 
+class _ScanState:
+    """What a run keeps from one scan to the next (module docstring); a
+    fresh one, as :func:`rule_event` makes for a direct call, keeps nothing.
+
+    ``order`` lists every vertex of the graph in ascending order, and
+    perhaps some that are gone; ``after`` is R4's cursor.  ``spanners``
+    (:func:`_strict_spanners`) and ``no_witness`` belong to the working
+    packing: ``no_witness[rule]`` maps each packed triangle to those it
+    shares a vertex with and forms no R7 (or R8) witness pair with.
+    """
+
+    __slots__ = ("order", "after", "spanners", "no_witness")
+
+    def __init__(self, order: list[int] | None = None) -> None:
+        self.order = order
+        self.after: int | None = None
+        self.spanners: dict[Edge, list[int]] | None = None
+        self.no_witness: dict[str, dict] = {"R7": {}, "R8": {}}
+
+
+def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
+                state: _ScanState) -> None:
+    """Bring ``state``'s spanners and witnessless pairs up to date after the
+    swap ``ev`` and the re-maximalization that followed it.
+
+    The edges whose packed status can have changed are those of the
+    removed, added and re-maximalized triangles (the last two are the
+    triangles that now pack an edge the swap freed).  An entry reads the
+    status of its edge and of the two side edges at each common neighbour,
+    so it is recomputed for those edges and for every packed edge that
+    shares a triangle with one of them.  A pair is forgotten when one of
+    its triangles left the packing, when the entry of one of its six edges
+    changed, when one of its cross edges is among those edges, and, for R8,
+    when a vertex some entry of its edges lists changed its free status.
+    """
+    adj, packed, spanners = g.adj, s.edge_index, state.spanners
+    r7, r8 = state.no_witness["R7"], state.no_witness["R8"]
+
+    def forget(t: Triangle, stores=(r7, r8)) -> None:
+        for store in stores:
+            for u in store.pop(t, ()):
+                store[u].discard(t)
+
+    removed = ev.packing_removed
+    new = set(ev.packing_added)
+    new.update(packed[e] for t in removed for e in triangle_edges(t) if e in packed)
+    for t in removed:
+        forget(t)
+    moved = {e for t in (*removed, *new) for e in triangle_edges(t)}
+    redo = {e for e in moved if e in packed or e in spanners}
+    stores = [store for store in (r7, r8) if store]
+    for a, b in moved:
+        for w in adj[a] & adj[b]:
+            aw = (a, w) if a < w else (w, a)
+            bw = (b, w) if b < w else (w, b)
+            t1, t2 = packed.get(aw), packed.get(bw)
+            # b spans (a, w) when (a, b) and (b, w) are free, so the change
+            # of (a, b) can move that entry only if (b, w) is free or
+            # changed too
+            if t1 is not None and (t2 is None or bw in moved):
+                redo.add(aw)
+            if t2 is not None and (t1 is None or aw in moved):
+                redo.add(bw)
+            if t1 is not None and t2 is not None and t1 != t2:
+                # (a, b) is a cross edge of the pair that packs (a, w) and (b, w)
+                for store in stores:
+                    if t2 in store.get(t1, ()):
+                        store[t1].discard(t2)
+                        store[t2].discard(t1)
+    for e in redo:
+        t = packed.get(e)
+        ws = [] if t is None else _spanning(adj, packed, *e)
+        if ws != spanners.get(e, []):
+            if ws:
+                spanners[e] = ws
+            else:
+                del spanners[e]
+            if t is not None:
+                forget(t)
+
+    if not r8:
+        return
+    # The triangles at a vertex other than the new ones were there before
+    # the swap too, so only a vertex of the removed triangles or of the new
+    # ones, but not of both, can change its free status, and only if no
+    # other triangle covers it.
+    lost = {x for t in removed for x in t}
+    gained = {x for t in new for x in t}
+    for x in lost ^ gained:
+        free_at = {y for y in adj[x] if ((x, y) if x < y else (y, x)) not in packed}
+        if any(packed[(x, y) if x < y else (y, x)] not in new
+               for y in adj[x] - free_at):
+            continue
+        # the entries that list x: packed edges (a, b) with free (a, x), (b, x)
+        for a in free_at:
+            for b in adj[a] & free_at:
+                t = packed.get((a, b) if a < b else (b, a))
+                if t is not None:
+                    forget(t, (r8,))
+
+
 def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     """The fixpoint loop with no ``k`` and no variant: it rewrites ``g`` in
     place, appends every event to each variant's trace as
@@ -737,8 +917,8 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     offsets = dict.fromkeys(traces, 0)
     end = 0
     s: TrianglePacking | None = None
+    state = _ScanState(sorted(g.adj))
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
-    after = None        # R4 scans only the vertices above this one
     high = -1           # the largest |S| since the last graph event
     recorded = None     # the packing the last R5 point holds
     retest = True       # m or k may have moved since the last R1 test
@@ -752,7 +932,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
 
         ev = None
         for rule in scan:
-            ev = rule_event(rule, g, after=after)
+            ev = rule_event(rule, g, state=state)
             if ev is not None:
                 break
         else:
@@ -766,11 +946,13 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 high = len(s)
                 yield "R5", end, dict(offsets), (high, s)
                 recorded = s
-            spanners = _strict_spanners(g, s)
-            ev = (rule_event("R6", g, s, spanners)
-                  or rule_event("R7", g, s, spanners)
-                  or rule_event("R8", g, s, spanners)
-                  or rule_event("R9", g, s))
+            if state.spanners is None:  # once per graph state
+                state.spanners = _strict_spanners(g, s)
+                state.no_witness = {"R7": {}, "R8": {}}
+            ev = (rule_event("R6", g, s, state)
+                  or rule_event("R7", g, s, state)
+                  or rule_event("R8", g, s, state)
+                  or rule_event("R9", g, s, state))
             if ev is None:
                 yield None, end, dict(offsets), (g, s)
                 return
@@ -785,11 +967,14 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
             s.validate(g)
             if ev.rule == "R8" and len(s.vertex_set()) <= covered:
                 raise GraphError("packing vertex count did not grow")
+            _after_swap(g, s, ev, state)
         else:
-            s = None
+            s = state.spanners = None
             retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)
-            after = ev.split_vertex  # None after R2, R3 and R9
+            state.after = ev.split_vertex  # None after R2, R3 and R9
+            if ev.rule == "R4":
+                state.order.extend(ev.split_minted)  # above every id so far
         for variant, trace in traces.items():
             trace.append(for_variant(ev, variant))
             offsets[variant] += trace[-1].k_delta
@@ -803,7 +988,8 @@ def _rule_code() -> tuple:
     return (rule_event, for_variant, apply_event, find_prunable, find_exclusive_k4,
             find_splittable, find_augment_one, find_augment_two, find_revertex,
             find_crown, greedy_maximal_packing, remaximalize, labeled_edges,
-            build_span_bipartite, extract_crown, max_matching, _strict_spanners)
+            build_span_bipartite, extract_crown, max_matching, _strict_spanners,
+            _spanning, _after_swap, _ScanState)
 
 
 class _Run:

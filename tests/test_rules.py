@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,8 @@ from conftest import (
 )
 
 VARIANTS = (Variant.ETP, Variant.ETC)
+# Runs that swap often: at k = n each makes 37 to 135 swaps (R6-R8).
+SWAP_HEAVY = [GenSpec("erdos_renyi", seed, n=200, p=0.05) for seed in range(4)]
 
 
 def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
@@ -216,6 +219,12 @@ def union_find_splittable(g: Graph, after=None):
     return None
 
 
+def order_with_gone(g: Graph) -> list[int]:
+    """An ascending vertex order as a run keeps it: every vertex of ``g``,
+    and ids of vertices that are gone between and around them."""
+    return sorted(set(g.adj) | {v + 1 for v in g.adj} | {0})
+
+
 @st.composite
 def k4_studded(draw):
     """A random graph with one to three K4s glued on, each at one vertex:
@@ -303,7 +312,9 @@ class TestRuleK4:
     @given(st.one_of(reshaped(graphs(max_n=12)), reshaped(k4_studded())))
     @settings(max_examples=150, deadline=None)
     def test_equals_brute_force_search(self, g):
-        assert find_exclusive_k4(g) == brute_exclusive_k4(g)
+        expected = brute_exclusive_k4(g)
+        assert find_exclusive_k4(g) == expected
+        assert find_exclusive_k4(g, order_with_gone(g)) == expected
 
     def test_decision_delta(self):
         g = complete_graph(4)
@@ -345,7 +356,9 @@ class TestRuleSplit:
     @settings(max_examples=150, deadline=None)
     def test_equals_union_find_components(self, g, data):
         after = data.draw(st.one_of(st.none(), st.sampled_from(g.vertices() or [0])))
-        assert find_splittable(g, after) == union_find_splittable(g, after)
+        expected = union_find_splittable(g, after)
+        assert find_splittable(g, after) == expected
+        assert find_splittable(g, after, order_with_gone(g)) == expected
 
 
 class TestSplitLemma:
@@ -463,6 +476,15 @@ class TestRuleAugmentTwo:
     def test_disjoint_pairs_without_attachments_absent(self):
         g = disjoint_triangles(2)
         assert find_augment_two(g, greedy_maximal_packing(g)) is None
+
+    @given(reshaped(graphs(max_n=12)))
+    @settings(max_examples=100, deadline=None)
+    def test_sharing_pairs_are_every_vertex_sharing_pair_in_order(self, g):
+        from trikernel.rules import _sharing_pairs
+        tris = greedy_maximal_packing(g).sorted_triangles()
+        assert list(_sharing_pairs(tris)) == [
+            (i, j) for i, j in combinations(range(len(tris)), 2)
+            if set(tris[i]) & set(tris[j])]
 
 
 class TestRuleRevertex:
@@ -760,6 +782,135 @@ class TestFrozenBehaviour:
                  for k in range(g.n + 1) for variant in VARIANTS]
         assert _sweep_digest(graphs, order) == (
             "be5189c6755e76db067aeae18589ae3b6959a47f5ecac3fe06122a6619183d1b")
+
+    def test_swap_heavy_digest_is_unchanged(self):
+        graphs = [generate(spec) for spec in SWAP_HEAVY]
+        order = [(i, k, variant) for i, g in enumerate(graphs)
+                 for k in sorted({1, g.n // 4, g.n // 2, g.n}) for variant in VARIANTS]
+        assert _sweep_digest(graphs, order) == (
+            "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
+
+
+def pair_inputs(g: Graph, s: TrianglePacking, spanners: dict, t1, t2,
+                free_status: bool) -> tuple:
+    """What an R7 (or, with ``free_status``, R8) scan of the pair reads:
+    whether both triangles are packed, the spanner entries of their six
+    edges, the packed status of their cross edges and, for R8, the free
+    status of every vertex those entries list."""
+    packed = s.edge_index
+    entries = tuple(spanners.get(e) for t in (t1, t2) for e in triangle_edges(t))
+    (v,) = set(t1) & set(t2)
+    cross = tuple((a, b) in packed or (b, a) in packed
+                  for a in t1 if a != v for b in t2 if b != v)
+    out = (t1 in s.triangles and t2 in s.triangles, entries, cross)
+    if free_status:
+        covered = s.vertex_set()
+        out += (tuple(w in covered for ws in entries for w in ws or ()),)
+    return out
+
+
+def checked_run(g: Graph) -> Counter:
+    """Run ``g`` to its fixpoint with every finder that reads the run's kept
+    state checked against a call that keeps none: the spanners R6 gets (at
+    the first scan of each packing and after every swap) equal
+    ``_strict_spanners``, R7 and R8 answer what a call without the
+    witnessless pairs answers, and R3 and R4 what a call without the run's
+    vertex order answers.  Every witnessless pair the run hands R7 or R8
+    must also still read the inputs it was recorded with, so a pair kept
+    past a change shows even when its verdict happens not to move.
+    Returns the checked calls per finder."""
+    import trikernel.rules as rules_mod
+    real = {name: getattr(rules_mod, name) for name in (
+        "_strict_spanners", "find_augment_one", "find_augment_two",
+        "find_revertex", "find_splittable", "find_exclusive_k4")}
+    calls = Counter()
+
+    def augment_one(g, s, spanners=None):
+        assert spanners == real["_strict_spanners"](g, s)
+        calls["find_augment_one"] += 1
+        return real["find_augment_one"](g, s, spanners)
+
+    def pair_finder(name):
+        free_status = name == "find_revertex"
+        recorded = {}  # pair -> its inputs when it was recorded
+
+        def pairs(no_witness):
+            return {(t1, t2) for t1, ts in no_witness.items() for t2 in ts if t1 < t2}
+
+        def checked(g, s, spanners=None, no_witness=None):
+            before = pairs(no_witness)
+            for t1, t2 in before:
+                assert recorded[t1, t2] == pair_inputs(g, s, spanners, t1, t2,
+                                                       free_status)
+            found = real[name](g, s, spanners, no_witness)
+            assert found == real[name](g, s)
+            for t1, t2 in pairs(no_witness) - before:
+                recorded[t1, t2] = pair_inputs(g, s, spanners, t1, t2, free_status)
+            calls[name] += 1
+            return found
+        return checked
+
+    def splittable(g, after=None, order=None):
+        found = real["find_splittable"](g, after, order)
+        assert found == real["find_splittable"](g, after)
+        calls["find_splittable"] += 1
+        return found
+
+    def exclusive_k4(g, order=None):
+        found = real["find_exclusive_k4"](g, order)
+        assert found == real["find_exclusive_k4"](g)
+        calls["find_exclusive_k4"] += 1
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rules_mod, "find_augment_one", augment_one)
+        mp.setattr(rules_mod, "find_augment_two", pair_finder("find_augment_two"))
+        mp.setattr(rules_mod, "find_revertex", pair_finder("find_revertex"))
+        mp.setattr(rules_mod, "find_splittable", splittable)
+        mp.setattr(rules_mod, "find_exclusive_k4", exclusive_k4)
+        kernelize(Instance(g, 10**6, Variant.ETP))  # no k stops it early
+    return calls
+
+
+class TestResumedSwapPhase:
+    """A run keeps the spanners, the witnessless R7/R8 pairs and one
+    vertex order from scan to scan; every finder must still answer what a
+    call that keeps nothing answers."""
+
+    @given(st.one_of(reshaped(graphs(max_n=10)), reshaped(glued_graphs())))
+    @settings(max_examples=80, deadline=None)
+    def test_kept_state_answers_as_a_fresh_scan(self, g):
+        checked_run(g)
+
+    def test_kept_state_answers_as_a_fresh_scan_on_swap_heavy_runs(self):
+        for spec in SWAP_HEAVY[:2]:
+            calls = checked_run(generate(spec))
+            assert calls["find_augment_one"] > 20 and calls["find_revertex"] > 5
+
+    @pytest.mark.parametrize("spec", [GenSpec("erdos_renyi", 1, n=30, p=0.2),
+                                      GenSpec("erdos_renyi", 2, n=50, p=0.2)])
+    def test_kept_state_follows_each_kind_of_change(self, spec):
+        # In these runs a swap packs both free edges through which a vertex
+        # spans a packed edge, changes the packed status of a cross edge of
+        # a recorded pair, and covers a free vertex that a recorded R8
+        # pair's entry lists, the last two without changing the pair's six
+        # entries.
+        checked_run(generate(spec))
+
+    def test_spanners_are_built_once_per_packing(self, monkeypatch):
+        """Once per graph state that reaches the swap phase, where a fresh
+        greedy packing starts it, not once per swap."""
+        import trikernel.rules as rules_mod
+        calls = Counter()
+        for name in ("_strict_spanners", "greedy_maximal_packing"):
+            def counted(*args, name=name, real=getattr(rules_mod, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(rules_mod, name, counted)
+        out = kernelize(Instance(generate(SWAP_HEAVY[0]), 10**6, Variant.ETP))
+        swaps = sum(out.counters[rule] for rule in SWAP_RULES)
+        assert swaps >= 20
+        assert calls["_strict_spanners"] == calls["greedy_maximal_packing"] < swaps
 
 
 def _kernelize_frame_traces(exc: BaseException) -> list:
