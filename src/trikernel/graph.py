@@ -256,10 +256,12 @@ def in_triangle_avoiding(g: Graph, e: Edge, avoid) -> bool:
 
 def packs(g: Graph, triangles: Iterable[Triangle]) -> bool:
     """The canonical ``triangles`` are triangles of ``g`` and share no edge."""
+    adj = g.adj
     used: set[Edge] = set()
     for t in triangles:
         for e in triangle_edges(t):
-            if e in used or not g.has_edge(*e):
+            u, v = e
+            if e in used or u not in adj or v not in adj[u]:
                 return False
             used.add(e)
     return True
@@ -267,9 +269,16 @@ def packs(g: Graph, triangles: Iterable[Triangle]) -> bool:
 
 def covers(g: Graph, edges) -> bool:
     """Every triangle of ``g`` has an edge in ``edges`` (a set or dict of
-    canonical edges)."""
-    return not any(e not in edges and in_triangle_avoiding(g, e, edges)
-                   for e in g.iter_edges())
+    canonical edges; any other pair of vertex ids counts for nothing): once
+    they are deleted, the ends of no remaining edge share a neighbour."""
+    cut: dict[int, set[int]] = {}
+    for u, v in edges:
+        if u < v:
+            cut.setdefault(u, set()).add(v)
+            cut.setdefault(v, set()).add(u)
+    rest = {u: nbrs - cut[u] if u in cut else nbrs for u, nbrs in g.adj.items()}
+    return not any(rest[u] & rest[v] for u, nbrs in rest.items()
+                   for v in nbrs if u < v)
 
 
 # -- parsing / serialization -------------------------------------------------

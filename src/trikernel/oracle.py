@@ -24,12 +24,18 @@ covering search explores only covers of at most ``limit + 1`` edges,
 reporting ``limit + 1`` with ``exact=False`` and no witness when the true
 optimum lies above.  Decisions for any ``k <= limit`` are unaffected.
 
-Each solver keeps, per thread, the last graph it searched (a copy, matched
-by ``n``, ``m`` and ``adj``), that graph's triangle count and the result
-with the ``limit`` it ran under, so a caller that asks about the same graph
-again -- every reduced k of one input shares one kernel -- is answered
-without a search.  A call is answered from that memo only when a cold call
-would return exactly the same optimum, witness and ``exact`` flag:
+Each solver keeps, per thread, the last graph it served (a copy), that
+graph's triangle list and the result with the ``limit`` it ran under, so a
+caller that asks about the same triangles again -- every reduced k of one
+input shares one kernel, and a kernel often keeps the input's triangles --
+is answered without a search.  The searches read only the triangle list:
+an edge in no triangle never reaches a mask and leaves the order of the
+others alone, so two graphs with one list get the same search.  A call
+first compares ``adj`` with the kept copy; if that differs, it lists the
+triangles and compares them with the kept list, and a match moves the memo
+onto a copy of the caller's graph.  A call is answered from that memo only
+when a cold call would return exactly the same optimum, witness and
+``exact`` flag:
 
 * packing: an exact optimum ``p`` answers ``limit=None`` and every
   ``limit >= p``;
@@ -38,12 +44,30 @@ would return exactly the same optimum, witness and ``exact`` flag:
   with ``(limit + 1, None, False)`` below that; a lower bound reached under
   ``limit=L`` answers every ``limit <= L``.
 
-Anything else is searched as before, and its result is kept, except that an
-inexact result never replaces an exact one of the same graph; a
-triangle-free graph is answered from its listing and not kept.  A hit still
-applies the size budget (with the kept triangle count), re-checks the
-witness against the caller's graph and hands out a fresh list.  The memo is
-read inside each solver, not by a wrapper, so no search runs a frame deeper.
+Anything else is searched, and its result is kept, except that an inexact
+result never replaces an exact one of the same triangles; a triangle-free
+graph is answered from its listing and not kept.  A hit still applies the
+size budget (to the caller's graph and its triangle count), re-checks the
+witness against the caller's graph and hands out a fresh list.  The memo
+is read inside each solver, not by a wrapper, so no search runs a frame
+deeper.
+
+Each problem bounds the other's search on the same triangle list, since a
+packing's triangles need distinct cover edges (``nu <= tau``):
+
+* covering takes ``L``, the size of the kept packing (exact or not: it was
+  found and checked).  With ``limit + 1 < L`` it answers ``(limit + 1,
+  None, False)`` unsearched; a greedy cover of ``L`` edges is not searched
+  past, and the search stops at the first cover of ``L`` edges;
+* packing takes ``U``, the kept exact cover optimum (an inexact one is no
+  upper bound).  A greedy packing of ``U`` triangles is not searched past,
+  and the search stops at the first packing of ``U`` after the ``limit``
+  test.
+
+A cold search keeps the first incumbent of each size it reaches in DFS
+order and only a larger packing (a smaller cover) replaces it.  None exists
+past a bound, so the incumbent a bounded search stops at is the cold
+search's witness.
 """
 
 from __future__ import annotations
@@ -56,6 +80,7 @@ from .graph import (
     Graph,
     GraphError,
     Instance,
+    Triangle,
     Variant,
     covers,
     enumerate_triangles,
@@ -92,16 +117,16 @@ def _edge_bits(g: Graph) -> dict[Edge, int]:
 class _Memo:
     """One solver's last search in this thread (module docstring).
 
-    ``graph`` is a private copy of the searched graph, ``triangles`` its
-    triangle count; the witness is kept as a tuple, so no caller can change
-    it.  The search never reads ``budget``, so a result found without the
-    budget serves calls with it.
+    ``graph`` is a private copy of the last graph it served, ``triangles``
+    its triangle list; the witness is kept as a tuple, so no caller can
+    change it.  The search never reads ``budget``, so a result found without
+    the budget serves calls with it.
     """
 
     __slots__ = ("graph", "triangles", "limit", "optimum", "witness", "exact")
 
-    def __init__(self, graph: Graph, triangles: int, limit: int | None,
-                 res: OracleResult) -> None:
+    def __init__(self, graph: Graph, triangles: list[Triangle],
+                 limit: int | None, res: OracleResult) -> None:
         self.graph = graph
         self.triangles = triangles
         self.limit = limit
@@ -113,16 +138,31 @@ class _Memo:
 _thread = threading.local()  # .etp, .etc: this thread's _Memo per solver
 
 
-def _recall(solver: str, g: Graph) -> _Memo | None:
-    """This thread's memo of ``solver`` if it was made on a graph equal to ``g``."""
+def _recall(solver: str, g: Graph) -> tuple[_Memo | None, list[Triangle]]:
+    """This thread's memo of ``solver`` if it was made on ``g``'s triangle
+    list (else ``None``), and that list.  Equal adjacency needs no listing;
+    a match on the listed triangles moves the memo onto a copy of ``g``, so
+    the next call on ``g`` matches on adjacency."""
     memo = getattr(_thread, solver, None)
-    if memo is None:
-        return None
-    h = memo.graph
-    return memo if h.m == g.m and h.n == g.n and h.adj == g.adj else None
+    if memo is not None:
+        h = memo.graph
+        if h.m == g.m and h.n == g.n and h.adj == g.adj:
+            return memo, memo.triangles
+    triangles = enumerate_triangles(g)
+    if memo is not None and memo.triangles == triangles:
+        memo.graph = g.copy()
+        return memo, triangles
+    return None, triangles
 
 
-def _keep(solver: str, memo: _Memo | None, g: Graph, triangles: int,
+def _other(solver: str, triangles: list[Triangle]) -> _Memo | None:
+    """This thread's memo of the other ``solver`` if it was made on
+    ``triangles``."""
+    memo = getattr(_thread, solver, None)
+    return memo if memo is not None and memo.triangles == triangles else None
+
+
+def _keep(solver: str, memo: _Memo | None, g: Graph, triangles: list[Triangle],
           limit: int | None, res: OracleResult) -> None:
     """Keep ``res`` of a search of ``g``; ``memo`` is the one ``_recall``
     found for ``g`` (if any), and an exact one stays."""
@@ -145,19 +185,20 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     triangle uses two edges at each corner).  A bound only cuts subtrees that
     cannot beat the incumbent, so it changes neither the incumbents nor the
     witness.  The nodes wait on an explicit stack.  The memo may answer
-    instead (module docstring).
+    instead, and a kept cover optimum may end the search (module docstring).
     """
-    memo = _recall("etp", g)
+    memo, triangles = _recall("etp", g)
+    _check_budget(g, len(triangles), budget)
     if memo is not None and memo.exact and (limit is None or limit >= memo.optimum):
-        _check_budget(g, memo.triangles, budget)
         witness = list(memo.witness)
         if not packs(g, witness):
             raise GraphError(f"kept packing witness {witness} is not a packing")
         return OracleResult(memo.optimum, witness, True)
-    triangles = enumerate_triangles(g)
-    _check_budget(g, len(triangles), budget)
     if not triangles:
         return OracleResult(0, [])
+    # An exact cover optimum of the same triangles bounds every packing.
+    cover = _other("etc", triangles)
+    upper = cover.optimum if cover is not None and cover.exact else None
 
     bit = _edge_bits(g)
     masks = [bit[e1] | bit[e2] | bit[e3]
@@ -179,7 +220,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
 
     if limit is not None and best > limit:
         exact = False
-    else:
+    elif best != upper:
         # A node: (candidate masks, depth, chosen masks).
         stack: list[tuple[list[int], int, tuple[int, ...]]] = [(masks, 0, ())]
         while stack:
@@ -188,6 +229,8 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
                 best, best_set = depth, chosen
                 if limit is not None and depth > limit:
                     exact = False
+                    break
+                if depth == upper:
                     break
             room = best - depth
             if len(cand) <= room:
@@ -210,7 +253,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
         raise GraphError(f"packing witness {witness} is not {best} "
                          "edge-disjoint triangles")
     res = OracleResult(best, witness, exact)
-    _keep("etp", memo, g, len(triangles), limit, res)
+    _keep("etp", memo, g, triangles, limit, res)
     return res
 
 
@@ -228,22 +271,27 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     edge closes the node; otherwise the node is bounded below by a greedy
     count of live triangles whose allowed edges are pairwise disjoint (each
     needs its own deleted edge), taken fewest allowed edges first.  The
-    nodes wait on an explicit stack.  The memo may answer instead (module
-    docstring).
+    nodes wait on an explicit stack.  The memo may answer instead, and a
+    kept packing may end the search (module docstring).
     """
-    memo = _recall("etc", g)
+    memo, triangles = _recall("etc", g)
+    _check_budget(g, len(triangles), budget)
     if memo is not None and (memo.exact or limit is not None and limit <= memo.limit):
-        _check_budget(g, memo.triangles, budget)
         if not memo.exact or limit is not None and limit < memo.optimum - 1:
             return OracleResult(limit + 1, None, False)
         witness = list(memo.witness)
         if not covers(g, set(witness)):
             raise GraphError(f"kept cover witness {witness} is not a cover")
         return OracleResult(memo.optimum, witness, True)
-    triangles = enumerate_triangles(g)
-    _check_budget(g, len(triangles), budget)
     if not triangles:
         return OracleResult(0, [])
+    # A packing of the same triangles bounds every cover below.
+    packing = _other("etp", triangles)
+    lower = 0 if packing is None else packing.optimum
+    if limit is not None and lower > limit + 1:
+        res = OracleResult(limit + 1, None, False)
+        _keep("etc", memo, g, triangles, limit, res)
+        return res
 
     bit = _edge_bits(g)
     edge_of_bit = {b: e for e, b in bit.items()}
@@ -261,8 +309,9 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         cap, best = limit + 2, None
 
     # A node: (parent's live masks, edge it deletes, deleted, count,
-    # forbidden); the live list is filtered when the node is popped.
-    stack = [(masks, 0, 0, 0, 0)]
+    # forbidden); the live list is filtered when the node is popped.  A
+    # cover of ``lower`` edges is optimal, so none is searched past.
+    stack = [(masks, 0, 0, 0, 0)] if cap > lower else []
     while stack:
         parent_live, edge, deleted, count, forbidden = stack.pop()
         if count >= cap:
@@ -270,6 +319,8 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         live = [m for m in parent_live if not m & edge]
         if not live:
             cap, best = count, deleted
+            if count == lower:
+                break
             continue
         allows = sorted((m & ~forbidden for m in live), key=int.bit_count)
         pick = allows[0]
@@ -304,28 +355,36 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
             raise GraphError(f"cover witness {witness} is not {cap} edges "
                              "meeting every triangle")
         res = OracleResult(cap, witness, True)
-    _keep("etc", memo, g, len(triangles), limit, res)
+    _keep("etc", memo, g, triangles, limit, res)
     return res
 
 
 def _greedy_cover(masks: list[int]) -> list[int]:
-    """Deterministic greedy hitting set over edge bits (max coverage first)."""
+    """Deterministic greedy hitting set over edge bits: the smallest bit of
+    those that hit the most live triangles, until none is live."""
+    counts: dict[int, int] = {}
+    for m in masks:
+        while m:
+            b = m & -m
+            m ^= b
+            counts[b] = counts.get(b, 0) + 1
     chosen: list[int] = []
-    deleted = 0
-    while True:
-        live = [m for m in masks if not m & deleted]
-        if not live:
-            return chosen
-        counts: dict[int, int] = {}
-        for m in live:
-            rest = m
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                counts[b] = counts.get(b, 0) + 1
-        pick = max(sorted(counts), key=lambda b: counts[b])
+    live = masks
+    while live:
+        top = max(counts.values())
+        pick = min(b for b, c in counts.items() if c == top)
         chosen.append(pick)
-        deleted |= pick
+        rest = []
+        for m in live:
+            if not m & pick:
+                rest.append(m)
+                continue
+            while m:
+                b = m & -m
+                m ^= b
+                counts[b] -= 1
+        live = rest
+    return chosen
 
 
 def _or_all(bits: list[int]) -> int:

@@ -161,6 +161,47 @@ class TestPacksAndCovers:
                 e in triangle_edges(t) and len(set(triangle_edges(t)) & hit - {e}) == 0
                 for t in triangles)
 
+    @given(graphs(max_n=7), st.data())
+    @settings(max_examples=300)
+    def test_same_verdicts_as_the_probing_bodies(self, g, data):
+        # ids up to two past the graph's name absent vertices; triples and
+        # pairs come in any order, repeats and degenerate ones included, and
+        # some of the graph's own edges are drawn reversed
+        ids = st.integers(0, max(g.adj, default=0) + 2)
+        triangles = enumerate_triangles(g)
+        triple = st.tuples(ids, ids, ids)
+        if triangles:
+            triple = st.sampled_from(triangles) | triple
+        chosen = data.draw(st.lists(triple, max_size=5))
+        assert packs(g, chosen) == reference_packs(g, chosen)
+
+        chosen = data.draw(st.lists(st.sampled_from(g.edges()), unique=True)
+                           if g.m else st.just([]))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+        edges += data.draw(st.lists(st.tuples(ids, ids), max_size=4))
+        for container in (set(edges), dict.fromkeys(edges)):
+            assert covers(g, container) == reference_covers(g, container)
+
+
+def reference_packs(g: Graph, triangles) -> bool:
+    """The reference ``graph.packs`` must agree with: ``has_edge`` per edge."""
+    used = set()
+    for t in triangles:
+        for e in triangle_edges(t):
+            if e in used or not g.has_edge(*e):
+                return False
+            used.add(e)
+    return True
+
+
+def reference_covers(g: Graph, edges) -> bool:
+    """The reference ``graph.covers`` must agree with:
+    ``in_triangle_avoiding`` for every edge outside ``edges``."""
+    return not any(e not in edges and in_triangle_avoiding(g, e, edges)
+                   for e in g.iter_edges())
+
 
 class TestSpans:
     def test_k3_apex(self):

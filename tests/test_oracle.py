@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from trikernel.cli import _verify_one
 from trikernel.gen import GenSpec, corpus_specs, generate
 from trikernel.graph import Graph, Instance, Variant, enumerate_triangles, triangle_edges
+import trikernel.oracle as oracle_mod
 from trikernel.oracle import (
     OracleBudgetError,
     decide,
     solve_etc_exact,
     solve_etp_exact,
 )
+from trikernel.rules import kernelize
 
 from conftest import complete_graph, disjoint_triangles, graphs, petersen_graph
 
@@ -250,9 +253,37 @@ def _in_fresh_thread(fn):
     return box[0]
 
 
+def _count_searches(monkeypatch) -> list:
+    """The graphs the exact solvers search from now on; each search numbers
+    its graph's edges once, with ``oracle._edge_bits``."""
+    searched = []
+    real = oracle_mod._edge_bits
+
+    def counting(g):
+        searched.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(oracle_mod, "_edge_bits", counting)
+    return searched
+
+
+def with_pendant_path(g: Graph, length: int) -> Graph:
+    """``g`` with a path of ``length`` new edges hung off its smallest
+    vertex: other edges, the same triangle list."""
+    twin = g.copy()
+    end = min(twin.adj)
+    for _ in range(length):
+        step = twin.add_vertex()
+        twin.add_edge(end, step)
+        end = step
+    return twin
+
+
 class TestMemo:
     """Each solver's per-thread memo of its last search answers a call only
-    with what a cold search of the same call returns."""
+    with what a cold search of the same call returns.  A graph with the kept
+    graph's triangle list is answered from it too, and each problem's kept
+    result bounds the other's search."""
 
     def test_answers_equal_a_cold_call(self):
         rng = random.Random(29)
@@ -350,18 +381,100 @@ class TestMemo:
     def test_verify_searches_each_kernel_once_per_variant(self, monkeypatch):
         """``cli._verify_one`` on one graph: the two input solves and one
         search per variant of the kernel that all 26 reduced outcomes share
-        (a cold search per call lists triangles 26 times).  A hit lists no
-        triangles, so the listings count the searches."""
-        import trikernel.oracle as oracle_mod
-        listed = []
-        real = oracle_mod.enumerate_triangles
-
-        def counting(g):
-            listed.append(g.n)
-            return real(g)
-
-        monkeypatch.setattr(oracle_mod, "enumerate_triangles", counting)
+        (a cold search per call searches 26 times).  Every search, and no
+        answer from a memo, numbers the graph's edges once."""
+        searched = _count_searches(monkeypatch)
         spec = GenSpec("erdos_renyi", 3, n=14, p=0.4)
         result = _in_fresh_thread(partial(_verify_one, (spec.to_json(), 16)))
         assert result["checked"] == 30 and not result["mismatches"]
-        assert len(listed) <= 4
+        assert len(searched) <= 4
+
+    def test_verify_does_not_search_a_kernel_with_the_inputs_triangles(
+            self, monkeypatch):
+        """On a graph whose every kernel drops edges but keeps the input's
+        triangle list, ``cli._verify_one`` makes only the two input
+        searches: each kernel is answered from the memo of its list."""
+        spec = GenSpec("erdos_renyi", 5, n=14, p=0.3)
+        g = generate(spec)
+        kernels = set()
+        for k in range(g.n + 1):
+            for variant in Variant:
+                out = kernelize(Instance(g, k, variant))
+                if out.verdict == "reduced":
+                    kernels.add(tuple(out.instance.graph.edges()))
+        assert kernels and all(
+            len(edges) < g.m and enumerate_triangles(Graph.from_edges(edges))
+            == enumerate_triangles(g) for edges in kernels)
+        searched = _count_searches(monkeypatch)
+        result = _in_fresh_thread(partial(_verify_one, (spec.to_json(), 16)))
+        assert result["checked"] == 30 and not result["mismatches"]
+        assert len(searched) == 2
+
+    def test_the_other_solver_first_on_a_twin(self):
+        graphs = [generate(GenSpec("erdos_renyi", seed, n=n, p=p))
+                  for seed, (n, p) in enumerate(
+                      [(8, 0.5), (10, 0.5), (11, 0.4), (12, 0.5), (9, 0.7)])]
+        graphs += [complete_graph(6), disjoint_triangles(4), petersen_graph()]
+        for i, g in enumerate(graphs):
+            twin = with_pendant_path(g, 1 + i % 3)
+            first = {"etp": solve_etp_exact(g, budget=False),
+                     "etc": solve_etc_exact(g, budget=False)}
+            limits = [None, *range(-1, g.n + 2)]
+            for solver, other in (("etp", "etc"), ("etc", "etp")):
+                # the other solver first, on ``g``: exact at ``None`` and
+                # at its optimum, inexact two below it; one below is exact
+                # for covering and inexact for packing
+                top = first[other].optimum
+                for before in (None, top - 2, top - 1, top):
+                    for limit in limits:
+                        cold = _in_fresh_thread(partial(_answer, solver, twin, limit))
+
+                        def warm():
+                            _answer(other, g, before)
+                            return _answer(solver, twin, limit)
+
+                        assert _in_fresh_thread(warm) == cold, (i, solver, before, limit)
+
+    def test_a_hit_checks_the_witness_on_the_callers_graph(self, monkeypatch):
+        g = generate(GenSpec("erdos_renyi", 2, n=11, p=0.5))
+        twin, again = with_pendant_path(g, 2), g.copy()
+        checked = []
+        for name in ("packs", "covers"):
+            def check(h, witness, real=getattr(oracle_mod, name)):
+                checked.append(h)
+                return real(h, witness)
+            monkeypatch.setattr(oracle_mod, name, check)
+
+        def calls():  # a search, a hit through the list, through adj, the list
+            for src in (g, twin, twin, again):
+                solve_etp_exact(src)
+                solve_etc_exact(src)
+
+        _in_fresh_thread(calls)
+        assert [id(h) for h in checked] == [
+            id(src) for src in (g, twin, twin, again) for _ in SOLVERS]
+
+    def test_a_frozen_stream_of_calls_answers_as_before(self):
+        """Every answer of a seeded stream of interleaved calls, pinned by
+        value: 250 ER graphs, each with a pendant-path twin and a copy, and
+        40 calls per graph at random limits, with and without the budget
+        (41 of them refused).  A memo or a bound that changed any optimum,
+        witness or ``exact`` flag would move the digest."""
+        def stream() -> str:
+            rng = random.Random(12)
+            h = hashlib.sha256()
+            for seed in range(250):
+                n = rng.randint(5, 13)
+                g = generate(GenSpec("erdos_renyi", seed, n=n,
+                                     p=rng.choice((0.3, 0.4, 0.5, 0.7))))
+                family = (g, with_pendant_path(g, rng.randint(1, 5)), g.copy())
+                limits = [None, *range(-1, n + 2)]
+                for _ in range(40):
+                    solver, src = rng.choice(("etp", "etc")), rng.choice(family)
+                    limit, budget = rng.choice(limits), rng.random() < 0.5
+                    answer = _answer(solver, src, limit, budget)
+                    h.update(repr((solver, limit, answer)).encode())
+            return h.hexdigest()
+
+        assert _in_fresh_thread(stream) == (
+            "b6a988504d04e24d7ff3c3dc55ad925e743873a9a68d80d1b06bfac1eb1dbc4e")
