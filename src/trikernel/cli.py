@@ -200,6 +200,8 @@ def _corpus_from_args(args) -> list[GenSpec]:
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs {args.jobs} is not a positive count", EXIT_INPUT)
+    if args.instances < 0:
+        return _fail(f"--instances {args.instances} is negative", EXIT_INPUT)
     specs = _corpus_from_args(args)
     if not specs:
         print("warning: empty corpus, nothing to verify")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -108,12 +108,6 @@ class Graph:
         out = [(u, v) for u, nbrs in self.adj.items() for v in nbrs if u < v]
         out.sort()
         return out
-
-    def iter_edges(self) -> Iterator[Edge]:
-        for u, nbrs in self.adj.items():
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
 
     def has_vertex(self, v: int) -> bool:
         return v in self.adj

@@ -24,17 +24,18 @@ covering search explores only covers of at most ``limit + 1`` edges,
 reporting ``limit + 1`` with ``exact=False`` and no witness when the true
 optimum lies above.  Decisions for any ``k <= limit`` are unaffected.
 
-Each solver keeps, per thread, the last graph it served (a copy), that
-graph's triangle list and the result with the ``limit`` it ran under, so a
-caller that asks about the same triangles again -- every reduced k of one
-input shares one kernel, and a kernel often keeps the input's triangles --
-is answered without a search.  The searches read only the triangle list:
-an edge in no triangle never reaches a mask and leaves the order of the
-others alone, so two graphs with one list get the same search.  A call
-first compares ``adj`` with the kept copy; if that differs, it lists the
-triangles and compares them with the kept list, and a match moves the memo
-onto a copy of the caller's graph.  A call is answered from that memo only
-when a cold call would return exactly the same optimum, witness and
+Each thread keeps its last triangle list and both solvers' results on it,
+each with the ``limit`` it ran under, and a copy of the last graph served,
+so a caller that asks about the same triangles again -- both problems of
+one graph, every reduced k of one input (they share one kernel), a kernel
+that keeps the input's triangles -- is answered without a search.  The
+searches read only the triangle list: an edge in no triangle never reaches
+a mask and leaves the order of the others alone, so two graphs with one
+list get the same search.  A call first compares ``adj`` with the kept
+copy; if that differs, it lists the triangles and compares them with the
+kept list, and a match moves the memo onto a copy of the caller's graph;
+a search on another list replaces the memo.  A call is answered from it
+only when a cold call would return exactly the same optimum, witness and
 ``exact`` flag:
 
 * packing: an exact optimum ``p`` answers ``limit=None`` and every
@@ -45,15 +46,14 @@ when a cold call would return exactly the same optimum, witness and
   ``limit=L`` answers every ``limit <= L``.
 
 Anything else is searched, and its result is kept, except that an inexact
-result never replaces an exact one of the same triangles; a triangle-free
-graph is answered from its listing and not kept.  A hit still applies the
-size budget (to the caller's graph and its triangle count), re-checks the
-witness against the caller's graph and hands out a fresh list.  The memo
-is read inside each solver, not by a wrapper, so no search runs a frame
-deeper.
+result never replaces an exact one; a triangle-free graph is answered from
+its listing and not kept.  A hit still applies the size budget (to the
+caller's graph and its triangle count), re-checks the witness against the
+caller's graph and hands out a fresh list.  The memo is read inside each
+solver, not by a wrapper, so no search runs a frame deeper.
 
-Each problem bounds the other's search on the same triangle list, since a
-packing's triangles need distinct cover edges (``nu <= tau``):
+Each problem's kept result bounds the other's search, since a packing's
+triangles need distinct cover edges (``nu <= tau``):
 
 * covering takes ``L``, the size of the kept packing (exact or not: it was
   found and checked).  With ``limit + 1 < L`` it answers ``(limit + 1,
@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import (
     Edge,
@@ -114,62 +115,59 @@ def _edge_bits(g: Graph) -> dict[Edge, int]:
     return {e: 1 << i for i, e in enumerate(g.edges())}
 
 
+class _Kept(NamedTuple):
+    limit: int | None
+    optimum: int
+    witness: tuple | None  # a tuple, so no caller can change it
+    exact: bool
+
+
 class _Memo:
-    """One solver's last search in this thread (module docstring).
+    """This thread's last triangle list and both solvers' results on it
+    (module docstring): ``graph`` is a private copy of the last graph
+    served (``None`` until a result is kept) and ``etp`` and ``etc`` each
+    hold a :class:`_Kept` or ``None``.  The search never reads ``budget``,
+    so a result found without the budget serves calls with it."""
 
-    ``graph`` is a private copy of the last graph it served, ``triangles``
-    its triangle list; the witness is kept as a tuple, so no caller can
-    change it.  The search never reads ``budget``, so a result found without
-    the budget serves calls with it.
-    """
+    __slots__ = ("graph", "triangles", "etp", "etc")
 
-    __slots__ = ("graph", "triangles", "limit", "optimum", "witness", "exact")
-
-    def __init__(self, graph: Graph, triangles: list[Triangle],
-                 limit: int | None, res: OracleResult) -> None:
+    def __init__(self, graph: Graph | None, triangles: list[Triangle]) -> None:
         self.graph = graph
         self.triangles = triangles
-        self.limit = limit
-        self.optimum = res.optimum
-        self.witness = None if res.witness is None else tuple(res.witness)
-        self.exact = res.exact
+        self.etp = self.etc = None
 
 
-_thread = threading.local()  # .etp, .etc: this thread's _Memo per solver
+_thread = threading.local()  # .memo: this thread's _Memo
 
 
-def _recall(solver: str, g: Graph) -> tuple[_Memo | None, list[Triangle]]:
-    """This thread's memo of ``solver`` if it was made on ``g``'s triangle
-    list (else ``None``), and that list.  Equal adjacency needs no listing;
-    a match on the listed triangles moves the memo onto a copy of ``g``, so
-    the next call on ``g`` matches on adjacency."""
-    memo = getattr(_thread, solver, None)
+def _recall(g: Graph) -> _Memo:
+    """This thread's memo if it was made on ``g``'s triangle list, else a
+    fresh one on that list, kept only once a result is.  Equal adjacency
+    needs no listing; a match on the listed triangles moves the memo onto
+    a copy of ``g``, so the next call on ``g`` matches on adjacency."""
+    memo = getattr(_thread, "memo", None)
     if memo is not None:
         h = memo.graph
         if h.m == g.m and h.n == g.n and h.adj == g.adj:
-            return memo, memo.triangles
+            return memo
     triangles = enumerate_triangles(g)
     if memo is not None and memo.triangles == triangles:
         memo.graph = g.copy()
-        return memo, triangles
-    return None, triangles
+        return memo
+    return _Memo(None, triangles)
 
 
-def _other(solver: str, triangles: list[Triangle]) -> _Memo | None:
-    """This thread's memo of the other ``solver`` if it was made on
-    ``triangles``."""
-    memo = getattr(_thread, solver, None)
-    return memo if memo is not None and memo.triangles == triangles else None
-
-
-def _keep(solver: str, memo: _Memo | None, g: Graph, triangles: list[Triangle],
-          limit: int | None, res: OracleResult) -> None:
-    """Keep ``res`` of a search of ``g``; ``memo`` is the one ``_recall``
-    found for ``g`` (if any), and an exact one stays."""
-    if memo is None:
-        setattr(_thread, solver, _Memo(g.copy(), triangles, limit, res))
-    elif res.exact or not memo.exact:
-        setattr(_thread, solver, _Memo(memo.graph, triangles, limit, res))
+def _keep(memo: _Memo, solver: str, g: Graph, limit: int | None,
+          res: OracleResult) -> None:
+    """Keep ``res`` of a search of ``g`` in ``memo`` unless an exact result
+    of ``solver`` is kept there; a fresh memo replaces this thread's."""
+    kept = getattr(memo, solver)
+    if kept is None or res.exact or not kept.exact:
+        witness = None if res.witness is None else tuple(res.witness)
+        setattr(memo, solver, _Kept(limit, res.optimum, witness, res.exact))
+    if memo.graph is None:
+        memo.graph = g.copy()
+        _thread.memo = memo
 
 
 def solve_etp_exact(g: Graph, *, limit: int | None = None,
@@ -187,17 +185,17 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     witness.  The nodes wait on an explicit stack.  The memo may answer
     instead, and a kept cover optimum may end the search (module docstring).
     """
-    memo, triangles = _recall("etp", g)
+    memo = _recall(g)
+    triangles, kept, cover = memo.triangles, memo.etp, memo.etc
     _check_budget(g, len(triangles), budget)
-    if memo is not None and memo.exact and (limit is None or limit >= memo.optimum):
-        witness = list(memo.witness)
+    if kept is not None and kept.exact and (limit is None or limit >= kept.optimum):
+        witness = list(kept.witness)
         if not packs(g, witness):
             raise GraphError(f"kept packing witness {witness} is not a packing")
-        return OracleResult(memo.optimum, witness, True)
+        return OracleResult(kept.optimum, witness, True)
     if not triangles:
         return OracleResult(0, [])
     # An exact cover optimum of the same triangles bounds every packing.
-    cover = _other("etc", triangles)
     upper = cover.optimum if cover is not None and cover.exact else None
 
     bit = _edge_bits(g)
@@ -253,7 +251,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
         raise GraphError(f"packing witness {witness} is not {best} "
                          "edge-disjoint triangles")
     res = OracleResult(best, witness, exact)
-    _keep("etp", memo, g, triangles, limit, res)
+    _keep(memo, "etp", g, limit, res)
     return res
 
 
@@ -274,23 +272,23 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     nodes wait on an explicit stack.  The memo may answer instead, and a
     kept packing may end the search (module docstring).
     """
-    memo, triangles = _recall("etc", g)
+    memo = _recall(g)
+    triangles, kept, packing = memo.triangles, memo.etc, memo.etp
     _check_budget(g, len(triangles), budget)
-    if memo is not None and (memo.exact or limit is not None and limit <= memo.limit):
-        if not memo.exact or limit is not None and limit < memo.optimum - 1:
+    if kept is not None and (kept.exact or limit is not None and limit <= kept.limit):
+        if not kept.exact or limit is not None and limit < kept.optimum - 1:
             return OracleResult(limit + 1, None, False)
-        witness = list(memo.witness)
+        witness = list(kept.witness)
         if not covers(g, set(witness)):
             raise GraphError(f"kept cover witness {witness} is not a cover")
-        return OracleResult(memo.optimum, witness, True)
+        return OracleResult(kept.optimum, witness, True)
     if not triangles:
         return OracleResult(0, [])
     # A packing of the same triangles bounds every cover below.
-    packing = _other("etp", triangles)
     lower = 0 if packing is None else packing.optimum
     if limit is not None and lower > limit + 1:
         res = OracleResult(limit + 1, None, False)
-        _keep("etc", memo, g, triangles, limit, res)
+        _keep(memo, "etc", g, limit, res)
         return res
 
     bit = _edge_bits(g)
@@ -355,7 +353,7 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
             raise GraphError(f"cover witness {witness} is not {cap} edges "
                              "meeting every triangle")
         res = OracleResult(cap, witness, True)
-    _keep("etc", memo, g, triangles, limit, res)
+    _keep(memo, "etc", g, limit, res)
     return res
 
 

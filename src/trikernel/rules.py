@@ -32,12 +32,11 @@ so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
 the packed status of its edge and of the two side edges at each common
 neighbour, so after a swap only the entries of the edges whose status
 changed (those of the removed, added and re-maximalized triangles) and of
-the packed edges that share a triangle with them are recomputed.  R7 and
-R8 keep the vertex-sharing pairs they found without a witness.  A scan of
-a pair is a function of what it reads: whether both triangles are packed,
-the entries of their six edges, the packed status of their cross edges
-and, for R8, the free status of the vertices those entries list.  So a
-pair's verdict changes only when one of these does, and the pair is
+the packed edges that share a triangle with them are recomputed.  R7 keeps
+the vertex-sharing pairs it found without a witness.  Its scan of a pair
+is a function of what it reads: whether both triangles are packed, the
+entries of their six edges and the packed status of their cross edges.
+So a pair's verdict changes only when one of these does, and the pair is
 skipped until then; each scan still returns the lexicographically first
 pair with a witness.  A cross edge ``(a, b)`` of a pair that shares ``v``
 forms the triangle ``(a, b, v)`` with a packed edge of each, so the pairs
@@ -625,7 +624,6 @@ def find_augment_two(
 def find_revertex(
     g: Graph, s: TrianglePacking,
     spanners: dict[Edge, list[int]] | None = None,
-    no_witness: dict[Triangle, set[Triangle]] | None = None,
 ) -> tuple[Triangle, Triangle, list[Triangle]] | None:
     """Rule 8: swap two packed triangles for two edge-disjoint triangles on
     the free vertices plus their own six, covering strictly more vertices.
@@ -635,13 +633,10 @@ def find_revertex(
     vertex outside the packing, so pairs without one are skipped.  Two
     triangles on six distinct vertices cannot be replaced by two covering
     more than six, so only vertex-sharing pairs are scanned, in
-    lexicographic pair order.  ``no_witness`` is kept as for
-    :func:`find_augment_two`, for this rule's pairs.
+    lexicographic pair order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
-    if no_witness is None:
-        no_witness = {}
     free = g.vertex_set() - s.vertex_set()
     tris = s.sorted_triangles()
 
@@ -654,8 +649,6 @@ def find_revertex(
         if not (flagged[i] or flagged[j]):
             continue
         t1, t2 = tris[i], tris[j]
-        if t2 in no_witness.get(t1, ()):
-            continue
         base = set(t1) | set(t2)
         cands = _pair_candidates(g, s, t1, t2, spanners,
                                  vertex_filter=free | base)
@@ -664,8 +657,6 @@ def find_revertex(
                 continue
             if len(set(a) | set(b)) > len(base):
                 return t1, t2, [a, b]
-        no_witness.setdefault(t1, set()).add(t2)
-        no_witness.setdefault(t2, set()).add(t1)
     return None
 
 
@@ -706,8 +697,8 @@ def rule_event(rule: str, g: Graph,
 
     Rules 2-4 read only ``g``, Rules 6-9 also read the working packing
     ``s``.  The fixpoint loop passes its ``state``: R3 and R4 walk its vertex
-    order, R4 from its cursor on, R6-R8 read its spanners and R7 and R8
-    its witnessless pairs.  The event is the same for both problems; an R3
+    order, R4 from its cursor on, R6-R8 read its spanners and R7 its
+    witnessless pairs.  The event is the same for both problems; an R3
     event gets its ``k_delta`` from :func:`for_variant`.  The finders are
     looked up as module globals at call time, so replacing one on the
     module changes what every caller sees.
@@ -739,8 +730,8 @@ def rule_event(rule: str, g: Graph,
             t, new = found
             return RuleEvent("R6", packing_removed=(t,), packing_added=tuple(new))
     elif rule in ("R7", "R8"):
-        finder = find_augment_two if rule == "R7" else find_revertex
-        found = finder(g, s, state.spanners, state.no_witness[rule])
+        found = (find_augment_two(g, s, state.spanners, state.no_witness)
+                 if rule == "R7" else find_revertex(g, s, state.spanners))
         if found is not None:
             t1, t2, new = found
             return RuleEvent(rule, packing_removed=(t1, t2),
@@ -801,8 +792,8 @@ class _ScanState:
     ``order`` lists every vertex of the graph in ascending order, and
     perhaps some that are gone; ``after`` is R4's cursor.  ``spanners``
     (:func:`_strict_spanners`) and ``no_witness`` belong to the working
-    packing: ``no_witness[rule]`` maps each packed triangle to those it
-    shares a vertex with and forms no R7 (or R8) witness pair with.
+    packing: ``no_witness`` maps each packed triangle to those it shares a
+    vertex with and forms no R7 witness pair with.
     """
 
     __slots__ = ("order", "after", "spanners", "no_witness")
@@ -811,7 +802,7 @@ class _ScanState:
         self.order = order
         self.after: int | None = None
         self.spanners: dict[Edge, list[int]] | None = None
-        self.no_witness: dict[str, dict] = {"R7": {}, "R8": {}}
+        self.no_witness: dict[Triangle, set[Triangle]] = {}
 
 
 def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
@@ -826,16 +817,14 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
     so it is recomputed for those edges and for every packed edge that
     shares a triangle with one of them.  A pair is forgotten when one of
     its triangles left the packing, when the entry of one of its six edges
-    changed, when one of its cross edges is among those edges, and, for R8,
-    when a vertex some entry of its edges lists changed its free status.
+    changed, or when one of its cross edges is among those edges.
     """
     adj, packed, spanners = g.adj, s.edge_index, state.spanners
-    r7, r8 = state.no_witness["R7"], state.no_witness["R8"]
+    pairs = state.no_witness
 
-    def forget(t: Triangle, stores=(r7, r8)) -> None:
-        for store in stores:
-            for u in store.pop(t, ()):
-                store[u].discard(t)
+    def forget(t: Triangle) -> None:
+        for u in pairs.pop(t, ()):
+            pairs[u].discard(t)
 
     removed = ev.packing_removed
     new = set(ev.packing_added)
@@ -844,7 +833,6 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
         forget(t)
     moved = {e for t in (*removed, *new) for e in triangle_edges(t)}
     redo = {e for e in moved if e in packed or e in spanners}
-    stores = [store for store in (r7, r8) if store]
     for a, b in moved:
         for w in adj[a] & adj[b]:
             aw = (a, w) if a < w else (w, a)
@@ -857,12 +845,10 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
                 redo.add(aw)
             if t2 is not None and (t1 is None or aw in moved):
                 redo.add(bw)
-            if t1 is not None and t2 is not None and t1 != t2:
+            if t1 is not None and t2 is not None and t2 in pairs.get(t1, ()):
                 # (a, b) is a cross edge of the pair that packs (a, w) and (b, w)
-                for store in stores:
-                    if t2 in store.get(t1, ()):
-                        store[t1].discard(t2)
-                        store[t2].discard(t1)
+                pairs[t1].discard(t2)
+                pairs[t2].discard(t1)
     for e in redo:
         t = packed.get(e)
         ws = [] if t is None else _spanning(adj, packed, *e)
@@ -873,26 +859,6 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
                 del spanners[e]
             if t is not None:
                 forget(t)
-
-    if not r8:
-        return
-    # The triangles at a vertex other than the new ones were there before
-    # the swap too, so only a vertex of the removed triangles or of the new
-    # ones, but not of both, can change its free status, and only if no
-    # other triangle covers it.
-    lost = {x for t in removed for x in t}
-    gained = {x for t in new for x in t}
-    for x in lost ^ gained:
-        free_at = {y for y in adj[x] if ((x, y) if x < y else (y, x)) not in packed}
-        if any(packed[(x, y) if x < y else (y, x)] not in new
-               for y in adj[x] - free_at):
-            continue
-        # the entries that list x: packed edges (a, b) with free (a, x), (b, x)
-        for a in free_at:
-            for b in adj[a] & free_at:
-                t = packed.get((a, b) if a < b else (b, a))
-                if t is not None:
-                    forget(t, (r8,))
 
 
 def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
@@ -948,7 +914,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 recorded = s
             if state.spanners is None:  # once per graph state
                 state.spanners = _strict_spanners(g, s)
-                state.no_witness = {"R7": {}, "R8": {}}
+                state.no_witness = {}
             ev = (rule_event("R6", g, s, state)
                   or rule_event("R7", g, s, state)
                   or rule_event("R8", g, s, state)

@@ -171,6 +171,21 @@ class TestSolveCommand:
         assert capsys.readouterr().out.startswith("yes")
 
 
+def assert_refused_before_any_instance(capsys, monkeypatch, argv) -> None:
+    """``main(argv)`` exits 2 with one ``error:`` line and runs no instance."""
+    import trikernel.cli as cli_mod
+
+    def never(payload):
+        raise AssertionError("an instance ran")
+
+    monkeypatch.setattr(cli_mod, "_verify_one", never)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestVerifyCommand:
     def test_small_corpus_passes(self, capsys):
         assert main(["verify", "--instances", "10", "--seed", "5"]) == 0
@@ -207,21 +222,11 @@ class TestVerifyCommand:
     ])
     def test_bad_spec_is_input_error(self, tmp_path, capsys, monkeypatch,
                                      manifest, flags):
-        import trikernel.cli as cli_mod
-
-        def never(payload):
-            raise AssertionError("an instance ran")
-
-        monkeypatch.setattr(cli_mod, "_verify_one", never)
         if flags is None:
             path = tmp_path / "corpus.json"
             path.write_text(json.dumps(manifest))
             flags = ["--manifest", str(path)]
-        assert main(["verify", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_refused_before_any_instance(capsys, monkeypatch, ["verify", *flags])
 
     def test_injected_rule_bug_is_caught(self, capsys, monkeypatch):
         # mutation harness: corrupt the pruning rule so it deletes a vertex
@@ -230,7 +235,7 @@ class TestVerifyCommand:
         original = rules_mod.find_prunable
 
         def broken(g):
-            for u, v in g.iter_edges():
+            for u, v in g.edges():
                 common = g.common_neighbors(u, v)
                 if common:
                     return [min(common | {u, v})], []
@@ -242,17 +247,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_input_error(self, capsys, monkeypatch, jobs):
-        import trikernel.cli as cli_mod
+        assert_refused_before_any_instance(
+            capsys, monkeypatch, ["verify", "--instances", "2", "--jobs", jobs])
 
-        def never(payload):
-            raise AssertionError("an instance ran")
+    @pytest.mark.parametrize("flags", [["--instances", "-3"],
+                                       ["--kind", "erdos_renyi", "--instances", "-2"]])
+    def test_negative_instances_is_input_error(self, capsys, monkeypatch, flags):
+        assert_refused_before_any_instance(capsys, monkeypatch, ["verify", *flags])
 
-        monkeypatch.setattr(cli_mod, "_verify_one", never)
-        assert main(["verify", "--instances", "2", "--jobs", jobs]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    @pytest.mark.parametrize("flags", [[], ["--kind", "erdos_renyi"]])
+    def test_zero_instances_warns(self, capsys, flags):
+        assert main(["verify", "--instances", "0", *flags]) == 0
+        assert "empty corpus" in capsys.readouterr().out
 
     @pytest.mark.parametrize("jobs, instances, cpus, workers", [
         (5000, 2, 4, 2),

@@ -200,7 +200,7 @@ def reference_covers(g: Graph, edges) -> bool:
     """The reference ``graph.covers`` must agree with:
     ``in_triangle_avoiding`` for every edge outside ``edges``."""
     return not any(e not in edges and in_triangle_avoiding(g, e, edges)
-                   for e in g.iter_edges())
+                   for e in g.edges())
 
 
 class TestSpans:

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import random
 import sys
 import threading
@@ -280,10 +281,11 @@ def with_pendant_path(g: Graph, length: int) -> Graph:
 
 
 class TestMemo:
-    """Each solver's per-thread memo of its last search answers a call only
-    with what a cold search of the same call returns.  A graph with the kept
-    graph's triangle list is answered from it too, and each problem's kept
-    result bounds the other's search."""
+    """The per-thread memo of the last triangle list and both solvers'
+    results on it answers a call only with what a cold search of the same
+    call returns.  A graph with the kept graph's triangle list is answered
+    from it too, and each problem's kept result bounds the other's
+    search."""
 
     def test_answers_equal_a_cold_call(self):
         rng = random.Random(29)
@@ -321,6 +323,21 @@ class TestMemo:
                     with pytest.raises(OracleBudgetError):
                         SOLVERS[solver](g, limit=limit)
         assert solve_etc_exact(big, budget=False).optimum == 61
+
+    def test_an_inexact_search_keeps_the_exact_result(self, monkeypatch):
+        """Packing under a limit below the kept exact optimum is searched,
+        and its inexact result does not replace the exact one: the next
+        uncapped call is answered without a search."""
+        g = complete_graph(6)
+        searched = _count_searches(monkeypatch)
+
+        def calls():
+            exact = solve_etp_exact(g)
+            return exact, solve_etp_exact(g, limit=exact.optimum - 2), solve_etp_exact(g)
+
+        exact, below, again = _in_fresh_thread(calls)
+        assert exact.exact and not below.exact and again == exact
+        assert len(searched) == 2
 
     def test_a_changed_result_does_not_change_a_later_answer(self):
         g = complete_graph(6)
@@ -409,6 +426,56 @@ class TestMemo:
         result = _in_fresh_thread(partial(_verify_one, (spec.to_json(), 16)))
         assert result["checked"] == 30 and not result["mismatches"]
         assert len(searched) == 2
+
+    def test_verify_lists_each_triangle_list_once(self, monkeypatch):
+        """On a graph whose kernel has another triangle list,
+        ``cli._verify_one`` lists the input's triangles once and the
+        kernel's once: each listing serves both solvers."""
+        spec = GenSpec("erdos_renyi", 3, n=14, p=0.4)
+        g = generate(spec)
+        kernels = set()
+        for k in range(g.n + 1):
+            for variant in Variant:
+                out = kernelize(Instance(g, k, variant))
+                if out.verdict == "reduced":
+                    kernels.add(tuple(out.instance.graph.edges()))
+        assert len(kernels) == 1 and enumerate_triangles(
+            Graph.from_edges(*kernels)) != enumerate_triangles(g)
+        listed = []
+        real = oracle_mod.enumerate_triangles
+
+        def counting(h):
+            listed.append(h.n)
+            return real(h)
+
+        monkeypatch.setattr(oracle_mod, "enumerate_triangles", counting)
+        searched = _count_searches(monkeypatch)
+        result = _in_fresh_thread(partial(_verify_one, (spec.to_json(), 16)))
+        assert result["checked"] == 30 and not result["mismatches"]
+        assert len(listed) == 2 and len(searched) <= 4
+
+    def test_packing_again_after_covering_another_list(self):
+        """Packing on ``a``, covering on ``b`` (another triangle list, which
+        replaces the memo), packing on ``a`` again: each answer is a cold
+        call's, at every combination of limits."""
+        graphs = [generate(GenSpec("erdos_renyi", seed, n=10, p=0.5))
+                  for seed in range(4)]
+        limits = (None, 1, 3, 5)
+        cold: dict = {}
+        for a, b in zip(graphs, graphs[1:] + graphs[:1]):
+            assert enumerate_triangles(a) != enumerate_triangles(b)
+            for first, middle, last in itertools.product(limits, repeat=3):
+                calls = (("etp", a, first), ("etc", b, middle), ("etp", a, last))
+                want = []
+                for call in calls:
+                    if call not in cold:
+                        cold[call] = _in_fresh_thread(partial(_answer, *call))
+                    want.append(cold[call])
+
+                def warm():
+                    return [_answer(*call) for call in calls]
+
+                assert _in_fresh_thread(warm) == want, (first, middle, last)
 
     def test_the_other_solver_first_on_a_twin(self):
         graphs = [generate(GenSpec("erdos_renyi", seed, n=n, p=p))

@@ -791,64 +791,59 @@ class TestFrozenBehaviour:
             "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
 
 
-def pair_inputs(g: Graph, s: TrianglePacking, spanners: dict, t1, t2,
-                free_status: bool) -> tuple:
-    """What an R7 (or, with ``free_status``, R8) scan of the pair reads:
-    whether both triangles are packed, the spanner entries of their six
-    edges, the packed status of their cross edges and, for R8, the free
-    status of every vertex those entries list."""
+def pair_inputs(g: Graph, s: TrianglePacking, spanners: dict, t1, t2) -> tuple:
+    """What an R7 scan of the pair reads: whether both triangles are packed,
+    the spanner entries of their six edges and the packed status of their
+    cross edges."""
     packed = s.edge_index
     entries = tuple(spanners.get(e) for t in (t1, t2) for e in triangle_edges(t))
     (v,) = set(t1) & set(t2)
     cross = tuple((a, b) in packed or (b, a) in packed
                   for a in t1 if a != v for b in t2 if b != v)
-    out = (t1 in s.triangles and t2 in s.triangles, entries, cross)
-    if free_status:
-        covered = s.vertex_set()
-        out += (tuple(w in covered for ws in entries for w in ws or ()),)
-    return out
+    return t1 in s.triangles and t2 in s.triangles, entries, cross
 
 
 def checked_run(g: Graph) -> Counter:
     """Run ``g`` to its fixpoint with every finder that reads the run's kept
     state checked against a call that keeps none: the spanners R6 gets (at
     the first scan of each packing and after every swap) equal
-    ``_strict_spanners``, R7 and R8 answer what a call without the
-    witnessless pairs answers, and R3 and R4 what a call without the run's
-    vertex order answers.  Every witnessless pair the run hands R7 or R8
-    must also still read the inputs it was recorded with, so a pair kept
-    past a change shows even when its verdict happens not to move.
-    Returns the checked calls per finder."""
+    ``_strict_spanners``, R7 answers what a call without the witnessless
+    pairs answers, R8 what a call without the run's spanners answers, and
+    R3 and R4 what a call without the run's vertex order answers.  Every
+    witnessless pair the run hands R7 must also still read the inputs it
+    was recorded with, so a pair kept past a change shows even when its
+    verdict happens not to move.  Returns the checked calls per finder."""
     import trikernel.rules as rules_mod
     real = {name: getattr(rules_mod, name) for name in (
         "_strict_spanners", "find_augment_one", "find_augment_two",
         "find_revertex", "find_splittable", "find_exclusive_k4")}
     calls = Counter()
+    recorded = {}  # R7 pair -> its inputs when it was recorded
 
     def augment_one(g, s, spanners=None):
         assert spanners == real["_strict_spanners"](g, s)
         calls["find_augment_one"] += 1
         return real["find_augment_one"](g, s, spanners)
 
-    def pair_finder(name):
-        free_status = name == "find_revertex"
-        recorded = {}  # pair -> its inputs when it was recorded
+    def pairs(no_witness):
+        return {(t1, t2) for t1, ts in no_witness.items() for t2 in ts if t1 < t2}
 
-        def pairs(no_witness):
-            return {(t1, t2) for t1, ts in no_witness.items() for t2 in ts if t1 < t2}
+    def augment_two(g, s, spanners=None, no_witness=None):
+        before = pairs(no_witness)
+        for t1, t2 in before:
+            assert recorded[t1, t2] == pair_inputs(g, s, spanners, t1, t2)
+        found = real["find_augment_two"](g, s, spanners, no_witness)
+        assert found == real["find_augment_two"](g, s)
+        for t1, t2 in pairs(no_witness) - before:
+            recorded[t1, t2] = pair_inputs(g, s, spanners, t1, t2)
+        calls["find_augment_two"] += 1
+        return found
 
-        def checked(g, s, spanners=None, no_witness=None):
-            before = pairs(no_witness)
-            for t1, t2 in before:
-                assert recorded[t1, t2] == pair_inputs(g, s, spanners, t1, t2,
-                                                       free_status)
-            found = real[name](g, s, spanners, no_witness)
-            assert found == real[name](g, s)
-            for t1, t2 in pairs(no_witness) - before:
-                recorded[t1, t2] = pair_inputs(g, s, spanners, t1, t2, free_status)
-            calls[name] += 1
-            return found
-        return checked
+    def revertex(g, s, spanners=None):
+        found = real["find_revertex"](g, s, spanners)
+        assert found == real["find_revertex"](g, s)
+        calls["find_revertex"] += 1
+        return found
 
     def splittable(g, after=None, order=None):
         found = real["find_splittable"](g, after, order)
@@ -864,8 +859,8 @@ def checked_run(g: Graph) -> Counter:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rules_mod, "find_augment_one", augment_one)
-        mp.setattr(rules_mod, "find_augment_two", pair_finder("find_augment_two"))
-        mp.setattr(rules_mod, "find_revertex", pair_finder("find_revertex"))
+        mp.setattr(rules_mod, "find_augment_two", augment_two)
+        mp.setattr(rules_mod, "find_revertex", revertex)
         mp.setattr(rules_mod, "find_splittable", splittable)
         mp.setattr(rules_mod, "find_exclusive_k4", exclusive_k4)
         kernelize(Instance(g, 10**6, Variant.ETP))  # no k stops it early
@@ -873,9 +868,9 @@ def checked_run(g: Graph) -> Counter:
 
 
 class TestResumedSwapPhase:
-    """A run keeps the spanners, the witnessless R7/R8 pairs and one
-    vertex order from scan to scan; every finder must still answer what a
-    call that keeps nothing answers."""
+    """A run keeps the spanners, the witnessless R7 pairs and one vertex
+    order from scan to scan; every finder must still answer what a call
+    that keeps nothing answers."""
 
     @given(st.one_of(reshaped(graphs(max_n=10)), reshaped(glued_graphs())))
     @settings(max_examples=80, deadline=None)
@@ -891,10 +886,8 @@ class TestResumedSwapPhase:
                                       GenSpec("erdos_renyi", 2, n=50, p=0.2)])
     def test_kept_state_follows_each_kind_of_change(self, spec):
         # In these runs a swap packs both free edges through which a vertex
-        # spans a packed edge, changes the packed status of a cross edge of
-        # a recorded pair, and covers a free vertex that a recorded R8
-        # pair's entry lists, the last two without changing the pair's six
-        # entries.
+        # spans a packed edge, and changes the packed status of a cross edge
+        # of a recorded pair without changing the pair's six entries.
         checked_run(generate(spec))
 
     def test_spanners_are_built_once_per_packing(self, monkeypatch):
