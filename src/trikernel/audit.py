@@ -222,10 +222,11 @@ def step4_and_report(cs: ChargeState, k: int, conservation_ok: bool,
     f_zero = sorted(v for v in free if cs.vertex_value[v] == 0)
     v1_zero = sorted(v for v in cls.v1 if cs.vertex_value[v] == 0)
     live_labels = {e for e, val in cs.edge_value.items() if val == 1}
-    needy = sorted(set(f_zero) | set(v1_zero))
+    needy_set = set(f_zero) | set(v1_zero)
+    needy = sorted(needy_set)
 
     independent = [(a, b) for a in needy for b in g.adj[a]
-                   if b in set(needy) and a < b]
+                   if b in needy_set and a < b]
     add("lemma9_independent", not independent, independent)
 
     f_bad_spans = {v: es for v in f_zero

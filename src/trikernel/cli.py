@@ -202,6 +202,8 @@ def cmd_verify(args) -> int:
         return _fail(f"--jobs {args.jobs} is not a positive count", EXIT_INPUT)
     if args.instances < 0:
         return _fail(f"--instances {args.instances} is negative", EXIT_INPUT)
+    if args.max_n < 0:
+        return _fail(f"--max-n {args.max_n} is negative", EXIT_INPUT)
     specs = _corpus_from_args(args)
     if not specs:
         print("warning: empty corpus, nothing to verify")

@@ -32,15 +32,11 @@ so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
 the packed status of its edge and of the two side edges at each common
 neighbour, so after a swap only the entries of the edges whose status
 changed (those of the removed, added and re-maximalized triangles) and of
-the packed edges that share a triangle with them are recomputed.  R7 keeps
-the vertex-sharing pairs it found without a witness.  Its scan of a pair
-is a function of what it reads: whether both triangles are packed, the
-entries of their six edges and the packed status of their cross edges.
-So a pair's verdict changes only when one of these does, and the pair is
-skipped until then; each scan still returns the lexicographically first
-pair with a witness.  A cross edge ``(a, b)`` of a pair that shares ``v``
-forms the triangle ``(a, b, v)`` with a packed edge of each, so the pairs
-it belongs to are found from the edges whose status changed.
+the packed edges that share a triangle with them are recomputed.  R7 and
+R8 keep nothing else: each scan walks only the vertex-sharing pairs that
+hold a triangle with a spanner entry (R8: one through a free vertex), and
+R7 searches only the pairs whose free cross edges can complete a witness
+(:func:`find_augment_two`).
 
 Only Rules 1 and 5 read ``k``, and they only end a run, so the runs on one
 graph at every ``k`` are prefixes of one k-free run.  That run is the same
@@ -565,59 +561,59 @@ def _first_disjoint_triple(cands: list[Triangle]) -> list[Triangle] | None:
     return None
 
 
-def _sharing_pairs(tris: list[Triangle]):
+def _sharing_pairs(tris: list[Triangle],
+                   flagged: set[Triangle]) -> list[tuple[int, int]]:
     """Index pairs ``(i, j)``, ``i < j``, of the edge-disjoint triangles
-    ``tris`` that share a vertex, in lexicographic order.
+    ``tris`` that share a vertex and hold a triangle of ``flagged``, in
+    lexicographic order.
 
-    Each vertex's list of triangle indices ascends, and ``seen[v]`` counts
-    the triangles at ``v`` already passed, so its slice holds just the
-    later ones.  Two edge-disjoint triangles share at most one vertex, so
-    no ``j`` appears in two slices."""
-    by_vertex: dict[int, list[int]] = {}
+    Only the vertices of flagged triangles are indexed, and each flagged
+    triangle meets the others at its vertices; two flagged triangles meet
+    twice, so the pairs are gathered in a set."""
+    at: dict[int, list[int]] = {v: [] for t in flagged for v in t}
+    hot = []
     for i, t in enumerate(tris):
+        if t in flagged:
+            hot.append(i)
         for v in t:
-            by_vertex.setdefault(v, []).append(i)
-    seen = dict.fromkeys(by_vertex, 0)
-    for i, (a, b, c) in enumerate(tris):
-        seen[a] += 1
-        seen[b] += 1
-        seen[c] += 1
-        for j in sorted(by_vertex[a][seen[a]:] + by_vertex[b][seen[b]:]
-                        + by_vertex[c][seen[c]:]):
-            yield i, j
+            if v in at:
+                at[v].append(i)
+    return sorted({(i, j) if i < j else (j, i)
+                   for i in hot for v in tris[i] for j in at[v] if j != i})
 
 
 def find_augment_two(
     g: Graph, s: TrianglePacking,
     spanners: dict[Edge, list[int]] | None = None,
-    no_witness: dict[Triangle, set[Triangle]] | None = None,
 ) -> tuple[Triangle, Triangle, list[Triangle]] | None:
     """Rule 7: two packed triangles replaceable by three edge-disjoint ones.
 
     Requires Rule 6 to be exhausted; then no two disjoint candidates exist
-    over a single triangle's edges, so any witness triple needs a candidate
-    touching both triangles - which exists only when they share a vertex.
-    Only vertex-sharing pairs are scanned, in lexicographic pair order.
-
-    ``no_witness`` maps each packed triangle to the triangles it is known
-    to form no witness pair with; those pairs are skipped, and every pair
-    found without one is added.  A run keeps it from swap to swap and
-    forgets a pair when one of its inputs changes (module docstring).
+    over a single triangle's edges.  So a witness triple uses neither
+    triangle itself (every other candidate shares an edge with it) and at
+    most one spanner triangle of each, hence at least one cross triangle
+    ``(v, a, b)``: ``v`` is the vertex the pair shares (pairs that share
+    none have no cross triangle and are not scanned) and ``(a, b)`` a free
+    cross edge.  Two cross triangles use all four packed edges at ``v``, so
+    a triple holds at most two.  A pair is searched only when it has a free
+    cross edge and both triangles carry a spanner entry, or two free cross
+    edges and one of them does; pairs go in lexicographic order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
-    if no_witness is None:
-        no_witness = {}
+    adj, packed = g.adj, s.edge_index
+    flagged = {packed[e] for e in spanners}
     tris = s.sorted_triangles()
-    for i, j in _sharing_pairs(tris):
+    for i, j in _sharing_pairs(tris, flagged):
         t1, t2 = tris[i], tris[j]
-        if t2 in no_witness.get(t1, ()):
+        (v,) = set(t1) & set(t2)
+        cross = sum(b in adj[a] and edge_key(a, b) not in packed
+                    for a in t1 if a != v for b in t2 if b != v)
+        if cross < 2 and not (cross and t1 in flagged and t2 in flagged):
             continue
         found = _first_disjoint_triple(_pair_candidates(g, s, t1, t2, spanners))
         if found is not None:
             return t1, t2, found
-        no_witness.setdefault(t1, set()).add(t2)
-        no_witness.setdefault(t2, set()).add(t1)
     return None
 
 
@@ -630,24 +626,18 @@ def find_revertex(
 
     Replacements are restricted to edges in R plus the pair's own edges, so
     the rest of the packing stays edge-disjoint.  Growth needs a spanning
-    vertex outside the packing, so pairs without one are skipped.  Two
-    triangles on six distinct vertices cannot be replaced by two covering
-    more than six, so only vertex-sharing pairs are scanned, in
-    lexicographic pair order.
+    vertex outside the packing, so only pairs that hold a triangle with one
+    are scanned.  Two triangles on six distinct vertices cannot be replaced
+    by two covering more than six, so only vertex-sharing pairs are
+    scanned, in lexicographic pair order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
     free = g.vertex_set() - s.vertex_set()
+    packed = s.edge_index
+    flagged = {packed[e] for e, ws in spanners.items() if not free.isdisjoint(ws)}
     tris = s.sorted_triangles()
-
-    def has_free_spanner(t: Triangle) -> bool:
-        return any(w in free
-                   for e in triangle_edges(t) for w in spanners.get(e, ()))
-
-    flagged = [has_free_spanner(t) for t in tris]
-    for i, j in _sharing_pairs(tris):
-        if not (flagged[i] or flagged[j]):
-            continue
+    for i, j in _sharing_pairs(tris, flagged):
         t1, t2 = tris[i], tris[j]
         base = set(t1) | set(t2)
         cands = _pair_candidates(g, s, t1, t2, spanners,
@@ -697,8 +687,7 @@ def rule_event(rule: str, g: Graph,
 
     Rules 2-4 read only ``g``, Rules 6-9 also read the working packing
     ``s``.  The fixpoint loop passes its ``state``: R3 and R4 walk its vertex
-    order, R4 from its cursor on, R6-R8 read its spanners and R7 its
-    witnessless pairs.  The event is the same for both problems; an R3
+    order, R4 from its cursor on, and R6-R8 read its spanners.  The event is the same for both problems; an R3
     event gets its ``k_delta`` from :func:`for_variant`.  The finders are
     looked up as module globals at call time, so replacing one on the
     module changes what every caller sees.
@@ -730,8 +719,8 @@ def rule_event(rule: str, g: Graph,
             t, new = found
             return RuleEvent("R6", packing_removed=(t,), packing_added=tuple(new))
     elif rule in ("R7", "R8"):
-        found = (find_augment_two(g, s, state.spanners, state.no_witness)
-                 if rule == "R7" else find_revertex(g, s, state.spanners))
+        found = (find_augment_two if rule == "R7" else find_revertex)(
+            g, s, state.spanners)
         if found is not None:
             t1, t2, new = found
             return RuleEvent(rule, packing_removed=(t1, t2),
@@ -791,74 +780,54 @@ class _ScanState:
 
     ``order`` lists every vertex of the graph in ascending order, and
     perhaps some that are gone; ``after`` is R4's cursor.  ``spanners``
-    (:func:`_strict_spanners`) and ``no_witness`` belong to the working
-    packing: ``no_witness`` maps each packed triangle to those it shares a
-    vertex with and forms no R7 witness pair with.
+    (:func:`_strict_spanners`) belong to the working packing.
     """
 
-    __slots__ = ("order", "after", "spanners", "no_witness")
+    __slots__ = ("order", "after", "spanners")
 
     def __init__(self, order: list[int] | None = None) -> None:
         self.order = order
         self.after: int | None = None
         self.spanners: dict[Edge, list[int]] | None = None
-        self.no_witness: dict[Triangle, set[Triangle]] = {}
 
 
 def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
                 state: _ScanState) -> None:
-    """Bring ``state``'s spanners and witnessless pairs up to date after the
-    swap ``ev`` and the re-maximalization that followed it.
+    """Bring ``state``'s spanners up to date after the swap ``ev`` and the
+    re-maximalization that followed it.
 
     The edges whose packed status can have changed are those of the
     removed, added and re-maximalized triangles (the last two are the
     triangles that now pack an edge the swap freed).  An entry reads the
     status of its edge and of the two side edges at each common neighbour,
     so it is recomputed for those edges and for every packed edge that
-    shares a triangle with one of them.  A pair is forgotten when one of
-    its triangles left the packing, when the entry of one of its six edges
-    changed, or when one of its cross edges is among those edges.
+    shares a triangle with one of them.
     """
     adj, packed, spanners = g.adj, s.edge_index, state.spanners
-    pairs = state.no_witness
-
-    def forget(t: Triangle) -> None:
-        for u in pairs.pop(t, ()):
-            pairs[u].discard(t)
-
     removed = ev.packing_removed
     new = set(ev.packing_added)
     new.update(packed[e] for t in removed for e in triangle_edges(t) if e in packed)
-    for t in removed:
-        forget(t)
     moved = {e for t in (*removed, *new) for e in triangle_edges(t)}
     redo = {e for e in moved if e in packed or e in spanners}
     for a, b in moved:
         for w in adj[a] & adj[b]:
             aw = (a, w) if a < w else (w, a)
             bw = (b, w) if b < w else (w, b)
-            t1, t2 = packed.get(aw), packed.get(bw)
+            a_packed, b_packed = aw in packed, bw in packed
             # b spans (a, w) when (a, b) and (b, w) are free, so the change
             # of (a, b) can move that entry only if (b, w) is free or
             # changed too
-            if t1 is not None and (t2 is None or bw in moved):
+            if a_packed and (not b_packed or bw in moved):
                 redo.add(aw)
-            if t2 is not None and (t1 is None or aw in moved):
+            if b_packed and (not a_packed or aw in moved):
                 redo.add(bw)
-            if t1 is not None and t2 is not None and t2 in pairs.get(t1, ()):
-                # (a, b) is a cross edge of the pair that packs (a, w) and (b, w)
-                pairs[t1].discard(t2)
-                pairs[t2].discard(t1)
     for e in redo:
-        t = packed.get(e)
-        ws = [] if t is None else _spanning(adj, packed, *e)
+        ws = _spanning(adj, packed, *e) if e in packed else []
         if ws != spanners.get(e, []):
             if ws:
                 spanners[e] = ws
             else:
                 del spanners[e]
-            if t is not None:
-                forget(t)
 
 
 def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
@@ -914,7 +883,6 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 recorded = s
             if state.spanners is None:  # once per graph state
                 state.spanners = _strict_spanners(g, s)
-                state.no_witness = {}
             ev = (rule_event("R6", g, s, state)
                   or rule_event("R7", g, s, state)
                   or rule_event("R8", g, s, state)

@@ -255,6 +255,11 @@ class TestVerifyCommand:
     def test_negative_instances_is_input_error(self, capsys, monkeypatch, flags):
         assert_refused_before_any_instance(capsys, monkeypatch, ["verify", *flags])
 
+    @pytest.mark.parametrize("flags", [["--max-n", "-1"],
+                                       ["--kind", "erdos_renyi", "--max-n", "-5"]])
+    def test_negative_max_n_is_input_error(self, capsys, monkeypatch, flags):
+        assert_refused_before_any_instance(capsys, monkeypatch, ["verify", *flags])
+
     @pytest.mark.parametrize("flags", [[], ["--kind", "erdos_renyi"]])
     def test_zero_instances_warns(self, capsys, flags):
         assert main(["verify", "--instances", "0", *flags]) == 0

@@ -473,18 +473,35 @@ class TestRuleAugmentTwo:
         t1, t2, _ = find_augment_two(g, s)
         assert (t1, t2) == ((1, 2, 3), (2, 4, 5))
 
+    def test_two_cross_triangles_and_one_spanner_triangle(self):
+        # packed pair (1,2,3) and (2,4,5) sharing 2; only (1,2,3) carries a
+        # spanner entry (6 over (1,3)), and the free cross edges (1,4) and
+        # (3,5) give the other two triangles of the witness
+        g = Graph.from_edges([(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (4, 5),
+                              (1, 4), (3, 5), (1, 6), (3, 6)])
+        s = greedy_maximal_packing(g)
+        assert s.sorted_triangles() == [(1, 2, 3), (2, 4, 5)]
+        assert find_augment_one(g, s) is None
+        assert find_augment_two(g, s) == (
+            (1, 2, 3), (2, 4, 5), [(1, 2, 4), (1, 3, 6), (2, 3, 5)])
+
     def test_disjoint_pairs_without_attachments_absent(self):
         g = disjoint_triangles(2)
         assert find_augment_two(g, greedy_maximal_packing(g)) is None
 
-    @given(reshaped(graphs(max_n=12)))
+    @given(reshaped(graphs(max_n=12)), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_sharing_pairs_are_every_vertex_sharing_pair_in_order(self, g):
+    def test_sharing_pairs_are_every_vertex_sharing_pair_in_order(self, g, data):
         from trikernel.rules import _sharing_pairs
         tris = greedy_maximal_packing(g).sorted_triangles()
-        assert list(_sharing_pairs(tris)) == [
-            (i, j) for i, j in combinations(range(len(tris)), 2)
-            if set(tris[i]) & set(tris[j])]
+        picks = data.draw(st.lists(st.booleans(), min_size=len(tris),
+                                   max_size=len(tris)))
+        drawn = {t for t, pick in zip(tris, picks) if pick}
+        for flagged in (set(tris), drawn):
+            assert list(_sharing_pairs(tris, flagged)) == [
+                (i, j) for i, j in combinations(range(len(tris)), 2)
+                if set(tris[i]) & set(tris[j])
+                and (tris[i] in flagged or tris[j] in flagged)]
 
 
 class TestRuleRevertex:
@@ -791,51 +808,42 @@ class TestFrozenBehaviour:
             "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
 
 
-def pair_inputs(g: Graph, s: TrianglePacking, spanners: dict, t1, t2) -> tuple:
-    """What an R7 scan of the pair reads: whether both triangles are packed,
-    the spanner entries of their six edges and the packed status of their
-    cross edges."""
-    packed = s.edge_index
-    entries = tuple(spanners.get(e) for t in (t1, t2) for e in triangle_edges(t))
-    (v,) = set(t1) & set(t2)
-    cross = tuple((a, b) in packed or (b, a) in packed
-                  for a in t1 if a != v for b in t2 if b != v)
-    return t1 in s.triangles and t2 in s.triangles, entries, cross
+def reference_augment_two(g: Graph, s: TrianglePacking):
+    """Rule 7 as an unfiltered scan: every vertex-sharing pair, in
+    lexicographic order, searched for a witness triple."""
+    from trikernel.rules import _first_disjoint_triple, _pair_candidates, _strict_spanners
+    spanners = _strict_spanners(g, s)
+    for t1, t2 in combinations(s.sorted_triangles(), 2):
+        if set(t1) & set(t2):
+            found = _first_disjoint_triple(_pair_candidates(g, s, t1, t2, spanners))
+            if found is not None:
+                return t1, t2, found
+    return None
 
 
 def checked_run(g: Graph) -> Counter:
     """Run ``g`` to its fixpoint with every finder that reads the run's kept
     state checked against a call that keeps none: the spanners R6 gets (at
     the first scan of each packing and after every swap) equal
-    ``_strict_spanners``, R7 answers what a call without the witnessless
-    pairs answers, R8 what a call without the run's spanners answers, and
-    R3 and R4 what a call without the run's vertex order answers.  Every
-    witnessless pair the run hands R7 must also still read the inputs it
-    was recorded with, so a pair kept past a change shows even when its
-    verdict happens not to move.  Returns the checked calls per finder."""
+    ``_strict_spanners``, R7 answers what :func:`reference_augment_two`
+    answers (R6 is exhausted at every R7 call the driver makes, so its
+    pair filter must lose no witness), R8 what a call without the run's
+    spanners answers, and R3 and R4 what a call without the run's vertex
+    order answers.  Returns the checked calls per finder."""
     import trikernel.rules as rules_mod
     real = {name: getattr(rules_mod, name) for name in (
         "_strict_spanners", "find_augment_one", "find_augment_two",
         "find_revertex", "find_splittable", "find_exclusive_k4")}
     calls = Counter()
-    recorded = {}  # R7 pair -> its inputs when it was recorded
 
     def augment_one(g, s, spanners=None):
         assert spanners == real["_strict_spanners"](g, s)
         calls["find_augment_one"] += 1
         return real["find_augment_one"](g, s, spanners)
 
-    def pairs(no_witness):
-        return {(t1, t2) for t1, ts in no_witness.items() for t2 in ts if t1 < t2}
-
-    def augment_two(g, s, spanners=None, no_witness=None):
-        before = pairs(no_witness)
-        for t1, t2 in before:
-            assert recorded[t1, t2] == pair_inputs(g, s, spanners, t1, t2)
-        found = real["find_augment_two"](g, s, spanners, no_witness)
-        assert found == real["find_augment_two"](g, s)
-        for t1, t2 in pairs(no_witness) - before:
-            recorded[t1, t2] = pair_inputs(g, s, spanners, t1, t2)
+    def augment_two(g, s, spanners=None):
+        found = real["find_augment_two"](g, s, spanners)
+        assert found == reference_augment_two(g, s)
         calls["find_augment_two"] += 1
         return found
 
@@ -868,9 +876,9 @@ def checked_run(g: Graph) -> Counter:
 
 
 class TestResumedSwapPhase:
-    """A run keeps the spanners, the witnessless R7 pairs and one vertex
-    order from scan to scan; every finder must still answer what a call
-    that keeps nothing answers."""
+    """A run keeps the spanners and one vertex order from scan to scan;
+    every finder must still answer what a call that keeps nothing
+    answers."""
 
     @given(st.one_of(reshaped(graphs(max_n=10)), reshaped(glued_graphs())))
     @settings(max_examples=80, deadline=None)
@@ -887,7 +895,7 @@ class TestResumedSwapPhase:
     def test_kept_state_follows_each_kind_of_change(self, spec):
         # In these runs a swap packs both free edges through which a vertex
         # spans a packed edge, and changes the packed status of a cross edge
-        # of a recorded pair without changing the pair's six entries.
+        # of a vertex-sharing pair without changing the pair's six entries.
         checked_run(generate(spec))
 
     def test_spanners_are_built_once_per_packing(self, monkeypatch):
@@ -904,6 +912,39 @@ class TestResumedSwapPhase:
         swaps = sum(out.counters[rule] for rule in SWAP_RULES)
         assert swaps >= 20
         assert calls["_strict_spanners"] == calls["greedy_maximal_packing"] < swaps
+
+    def test_r7_searches_fewer_pairs_than_it_walks(self, monkeypatch):
+        """R7 searches a pair for a witness triple only when its free cross
+        edges and spanner entries can make one, so its searches stay below
+        the vertex-sharing pairs its scans walk (R8 walks pairs too, but
+        searches none for a triple)."""
+        import trikernel.rules as rules_mod
+        real = {name: getattr(rules_mod, name) for name in (
+            "find_augment_two", "_sharing_pairs", "_first_disjoint_triple")}
+        calls = Counter()
+        in_r7 = []
+
+        def augment_two(*args):
+            in_r7.append(True)
+            try:
+                return real["find_augment_two"](*args)
+            finally:
+                in_r7.pop()
+
+        def walk(*args):
+            for pair in real["_sharing_pairs"](*args):
+                calls["walked"] += bool(in_r7)
+                yield pair
+
+        def search(*args):
+            calls["searched"] += 1
+            return real["_first_disjoint_triple"](*args)
+
+        monkeypatch.setattr(rules_mod, "find_augment_two", augment_two)
+        monkeypatch.setattr(rules_mod, "_sharing_pairs", walk)
+        monkeypatch.setattr(rules_mod, "_first_disjoint_triple", search)
+        kernelize(Instance(generate(SWAP_HEAVY[0]), 10**6, Variant.ETP))
+        assert 0 < calls["searched"] < calls["walked"]
 
 
 def _kernelize_frame_traces(exc: BaseException) -> list:
