@@ -324,12 +324,12 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         pick = allows[0]
         if not pick:
             continue
-        blocked = lower = 0
+        blocked = bound = 0
         for allowed in allows:
             if not allowed & blocked:
                 blocked |= allowed
-                lower += 1
-        if count + lower >= cap:
+                bound += 1
+        if count + bound >= cap:
             continue
         branch = []
         while pick:

@@ -74,29 +74,38 @@ class TrianglePacking:
 def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     """Greedy packing over the lexicographic triangle order (deterministic).
 
-    A sorted ``u < v < w`` walk over ``avail``, each vertex's neighbours
+    A ``u < v < w`` walk over the neighbour masks (:meth:`Graph.masks`),
+    whose bits ascend with the ids; ``avail`` masks each vertex's neighbours
     through an edge not yet packed.  ``free`` holds ``u``'s free neighbours
     above ``u`` not yet visited as ``v``, so ``free & avail[v]`` is every
-    ``w > v`` that completes a fitting triangle; the smallest is the one the
-    lexicographic order tries first, and packing it blocks ``(u, v)`` for
-    every other ``w``.  Extra memory is O(n + m).
+    ``w > v`` that completes a fitting triangle; its lowest bit is the one
+    the lexicographic order tries first, and packing it blocks ``(u, v)``
+    for every other ``w``.  A packed ``(u, v, w)`` leaves ``avail`` of
+    ``v`` and ``w`` without each other; the bits of ``u`` it leaves, since
+    only vertices above ``u`` are read from here on.  Extra memory is O(n)
+    masks.
     """
     s = TrianglePacking()
-    avail = {u: set(nu) for u, nu in g.adj.items()}
-    for u in sorted(avail):
-        free = {x for x in avail[u] if x > u}
-        for v in sorted(free):
-            if v not in free:
-                continue
-            free.discard(v)
+    masks = g.masks()
+    ids, bit = masks.ids, masks.bit
+    avail = dict(masks.of)
+    for u in ids:
+        au = avail.get(u)
+        if au is None:  # gone
+            continue
+        free = au & -(bit[u] << 1)  # the bits above u's
+        while free:
+            bv = free & -free
+            free ^= bv
+            v = ids[bv.bit_length() - 1]
             cand = free & avail[v]
             if cand:
-                w = min(cand)
+                bw = cand & -cand
+                w = ids[bw.bit_length() - 1]
                 s.add((u, v, w))
-                free.discard(w)
-                for a, b in ((u, v), (u, w), (v, w)):
-                    avail[a].discard(b)
-                    avail[b].discard(a)
+                free ^= bw
+                avail[v] ^= bw
+                avail[w] ^= bv
     return s
 
 
@@ -128,12 +137,11 @@ def remaximalize(g: Graph, s: TrianglePacking,
 
 def labeled_edges(g: Graph, s: TrianglePacking) -> set[Edge]:
     """Packed edges spanned by at least one vertex outside the packing."""
-    free = g.vertex_set() - s.vertex_set()
-    out = set()
-    for u, v in s.edge_index:
-        if g.common_neighbors(u, v) & free:
-            out.add((u, v))
-    return out
+    masks = g.masks()
+    of, bit = masks.of, masks.bit
+    # distinct powers of two: their sum is their union
+    free = sum(bit.values()) - sum(bit[v] for v in s.vertex_set())
+    return {(u, v) for u, v in s.edge_index if of[u] & of[v] & free}
 
 
 @dataclass

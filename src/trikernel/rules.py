@@ -21,10 +21,15 @@ the scan goes on with R3.  After a swap only the triangles through edges
 the swap freed can join the packing, and re-maximalization tries just
 those.
 
-R3 and R4 walk one ascending vertex order per run: the sorted input
-vertices, with each split's two minted ids appended (they exceed every id
-so far).  Vertices that are gone are skipped, and R4 resumes from the place
-of the vertex it last split, so no scan sorts the graph's vertices.
+The structural scans and the greedy packing ask common-neighbour
+questions, and answer them on the working graph's neighbour masks
+(:meth:`Graph.masks`), built by the run's first scan and kept up to date by
+every event.  R3 and R4 walk the masks' positions, which are one ascending
+vertex order per run: the sorted input vertices, with each split's two
+minted ids appended (they exceed every id so far).  Vertices that are gone
+are skipped, and R4 resumes from the place of the vertex it last split, so
+no scan sorts the graph's vertices.  The caller's graph never gets masks
+from a run: the run works on a copy of it.
 
 The swap phase resumes too: the graph is fixed until the next graph event,
 so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
@@ -85,6 +90,7 @@ from .graph import (
     Graph,
     GraphError,
     Instance,
+    Masks,
     Triangle,
     Variant,
     covers,
@@ -365,19 +371,21 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
 
     One application removes the whole set (deleting triangle-free material
     never destroys a triangle, so the batch is the single-deletion fixpoint).
-    Returned edges exclude those incident to returned vertices.
+    Returned edges exclude those incident to returned vertices.  An edge is
+    dead when its ends' neighbour masks do not meet.
     """
-    adj = g.adj
+    adj, of = g.adj, g.masks().of
     live: set[int] = set()
     dead_edges: list[Edge] = []
     for u, nu in adj.items():
+        mu = of[u]
         for v in nu:
             if u < v:
-                if nu.isdisjoint(adj[v]):
-                    dead_edges.append((u, v))
-                else:
+                if mu & of[v]:
                     live.add(u)
                     live.add(v)
+                else:
+                    dead_edges.append((u, v))
     if not dead_edges and len(live) == len(adj):
         return None
     # a vertex is dead when no edge at it is live; its edges go with it
@@ -385,45 +393,44 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
             sorted(e for e in dead_edges if e[0] in live and e[1] in live))
 
 
-def _is_exclusive_k4(adj: dict[int, set[int]], quad: Sequence[int]) -> bool:
-    members = set(quad)
+def _is_exclusive_k4(masks: Masks, quad: Sequence[int]) -> bool:
+    of, bit = masks.of, masks.bit
+    members = bit[quad[0]] | bit[quad[1]] | bit[quad[2]] | bit[quad[3]]
     for a, b in combinations(quad, 2):
-        if b not in adj[a] or adj[a] & adj[b] != members - {a, b}:
+        ab = bit[a] | bit[b]
+        if not of[a] & bit[b] or of[a] & of[b] != members ^ ab:
             return False
     return True
 
 
-def find_exclusive_k4(
-    g: Graph, order: Sequence[int] | None = None,
-) -> tuple[int, int, int, int] | None:
+def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
     """Rule 3: the lexicographically smallest four vertices inducing a K4
     whose six edges lie only in the four internal triangles.
 
     Each edge of such a K4 has exactly the other two members as common
-    neighbours, so edges with |common| != 2 are skipped at once, and the
-    K4's smallest edge alone determines it.  The scan walks ``u`` up
-    ``order``, meets each quad at its smallest edge ``(u, v)`` and returns
-    the smallest quad of the first ``u`` that has one: ``u`` is the quad's
-    smallest member.
-
-    ``order`` lists every vertex of ``g`` in ascending order and may list
-    vertices that are gone (they are skipped); :func:`kernelize` keeps
-    one per run (module docstring).  Without it the vertices are sorted.
+    neighbours, so edges whose masks share other than two bits are skipped
+    at once, and the K4's smallest edge alone determines it.  The scan walks
+    ``u`` up the masks' positions (ascending ids; module docstring), meets
+    each quad at its smallest edge ``(u, v)`` and returns the smallest quad
+    of the first ``u`` that has one: ``u`` is the quad's smallest member.
     """
-    adj = g.adj
-    for u in sorted(adj) if order is None else order:
-        nu = adj.get(u)
-        if nu is None:
+    masks = g.masks()
+    adj, of, ids = g.adj, masks.of, masks.ids
+    for u in ids:
+        mu = of.get(u)
+        if mu is None:  # gone
             continue
         best = None
-        for v in nu:
+        for v in adj[u]:
             if v > u:
-                common = nu & adj[v]
-                if len(common) == 2:
-                    w, x = sorted(common)
+                common = mu & of[v]
+                if common.bit_count() == 2:
+                    low = common & -common
+                    w = ids[low.bit_length() - 1]
+                    x = ids[(common ^ low).bit_length() - 1]
                     quad = (u, v, w, x)
                     if (v < w and (best is None or quad < best)
-                            and _is_exclusive_k4(adj, quad)):
+                            and _is_exclusive_k4(masks, quad)):
                         best = quad
         if best is not None:
             return best
@@ -431,7 +438,7 @@ def find_exclusive_k4(
 
 
 def find_splittable(
-    g: Graph, after: int | None = None, order: Sequence[int] | None = None,
+    g: Graph, after: int | None = None,
 ) -> tuple[int, list[Edge], list[Edge]] | None:
     """Rule 4: smallest vertex (above ``after``, if given) whose incident
     edges separate into triangle-disconnected parts.  Triangles through
@@ -440,42 +447,55 @@ def find_splittable(
     grows from the smallest incident edge (the one to the smallest neighbor)
     and the second holds every other component.
 
-    The search from the smallest neighbour meets each popped vertex with
-    ``rest``, the neighbours not reached yet, and stops once ``rest`` is
-    empty; if the queue runs dry first, ``rest`` is the other components.
+    The search from the smallest neighbour keeps the reached vertices not
+    yet expanded as a mask, ``todo``; it meets the mask of each one it
+    expands with ``rest``, the neighbours not reached yet, and stops once
+    ``rest`` is empty.  If ``todo`` runs dry first, ``rest`` is the other
+    components.
 
     The driver passes ``after`` = the vertex it just split: no vertex below
-    it can have become splittable (see the module docstring).  It also
-    passes the run's ``order`` (as for :func:`find_exclusive_k4`), and the
-    scan resumes from ``after``'s place in it; without it the vertices are
-    sorted."""
-    adj = g.adj
-    if order is None:
-        order = sorted(adj)
-    start = 0 if after is None else bisect_right(order, after)
-    for v in islice(order, start, None):
-        nbrs = adj.get(v)
-        if nbrs is None or len(nbrs) < 2:
+    it can have become splittable (see the module docstring).  The scan
+    walks the masks' positions from ``after``'s place on."""
+    masks = g.masks()
+    of, ids = masks.of, masks.ids
+    start = 0 if after is None else bisect_right(ids, after)
+    for v in islice(ids, start, None):
+        nbrs = of.get(v)
+        if nbrs is None or not nbrs & (nbrs - 1):  # gone, or < 2 neighbours
             continue
-        seed = min(nbrs)
-        rest = nbrs - {seed}
-        queue = [seed]
-        while queue and rest:
-            reached = adj[queue.pop()] & rest
-            rest -= reached
-            queue.extend(reached)
+        todo = nbrs & -nbrs  # the smallest neighbour
+        rest = nbrs ^ todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            reached = of[ids[low.bit_length() - 1]] & rest
+            if reached:
+                rest ^= reached
+                if not rest:
+                    break
+                todo |= reached
         if rest:
-            part1 = sorted(edge_key(v, u) for u in nbrs - rest)
-            part2 = sorted(edge_key(v, u) for u in rest)
+            # v's edges in ascending order of the other end are sorted
+            part1 = [edge_key(v, u) for u in masks.members(nbrs ^ rest)]
+            part2 = [edge_key(v, u) for u in masks.members(rest)]
             return v, part1, part2
     return None
 
 
-def _spanning(adj: dict[int, set[int]], packed: dict, a: int, b: int) -> list[int]:
+def _spanning(masks: Masks, packed: dict, a: int, b: int) -> list[int]:
     """The vertices spanning ``(a, b)`` through two free edges, ascending."""
-    return [w for w in sorted(adj[a] & adj[b])
-            if ((a, w) if a < w else (w, a)) not in packed
-            and ((b, w) if b < w else (w, b)) not in packed]
+    common = masks.of[a] & masks.of[b]
+    if not common & (common - 1):
+        return []  # a packed edge's one common neighbour is its triangle's
+    ids, out = masks.ids, []
+    while common:
+        low = common & -common
+        common ^= low
+        w = ids[low.bit_length() - 1]
+        if (((a, w) if a < w else (w, a)) not in packed
+                and ((b, w) if b < w else (w, b)) not in packed):
+            out.append(w)
+    return out
 
 
 def _strict_spanners(g: Graph, s: TrianglePacking) -> dict[Edge, list[int]]:
@@ -486,10 +506,10 @@ def _strict_spanners(g: Graph, s: TrianglePacking) -> dict[Edge, list[int]]:
     disqualify themselves because their side edges are packed.  Edges with
     no such vertex have no entry.
     """
-    adj, packed = g.adj, s.edge_index
+    masks, packed = g.masks(), s.edge_index
     out: dict[Edge, list[int]] = {}
     for e in packed:
-        ws = _spanning(adj, packed, *e)
+        ws = _spanning(masks, packed, *e)
         if ws:
             out[e] = ws
     return out
@@ -686,9 +706,9 @@ def rule_event(rule: str, g: Graph,
     """The event of one application of ``rule`` to the current state, or None.
 
     Rules 2-4 read only ``g``, Rules 6-9 also read the working packing
-    ``s``.  The fixpoint loop passes its ``state``: R3 and R4 walk its vertex
-    order, R4 from its cursor on, and R6-R8 read its spanners.  The event is the same for both problems; an R3
-    event gets its ``k_delta`` from :func:`for_variant`.  The finders are
+    ``s``.  The fixpoint loop passes its ``state``: R4 scans from its
+    cursor on, and R6-R8 read its spanners.  The event is the same for both
+    problems; an R3 event gets its ``k_delta`` from :func:`for_variant`.  The finders are
     looked up as module globals at call time, so replacing one on the
     module changes what every caller sees.
     """
@@ -701,12 +721,12 @@ def rule_event(rule: str, g: Graph,
             return RuleEvent("R2", removed_vertices=tuple(verts),
                              removed_edges=tuple(edges))
     elif rule == "R3":
-        quad = find_exclusive_k4(g, state.order)
+        quad = find_exclusive_k4(g)
         if quad is not None:
             return RuleEvent("R3", quad=quad, removed_edges=tuple(
                 edge_key(a, b) for a, b in combinations(quad, 2)))
     elif rule == "R4":
-        found = find_splittable(g, state.after, state.order)
+        found = find_splittable(g, state.after)
         if found is not None:
             v, part1, part2 = found
             # Graph.split mints the next two ids
@@ -778,15 +798,13 @@ class _ScanState:
     """What a run keeps from one scan to the next (module docstring); a
     fresh one, as :func:`rule_event` makes for a direct call, keeps nothing.
 
-    ``order`` lists every vertex of the graph in ascending order, and
-    perhaps some that are gone; ``after`` is R4's cursor.  ``spanners``
-    (:func:`_strict_spanners`) belong to the working packing.
+    ``after`` is R4's cursor.  ``spanners`` (:func:`_strict_spanners`)
+    belong to the working packing.
     """
 
-    __slots__ = ("order", "after", "spanners")
+    __slots__ = ("after", "spanners")
 
-    def __init__(self, order: list[int] | None = None) -> None:
-        self.order = order
+    def __init__(self) -> None:
         self.after: int | None = None
         self.spanners: dict[Edge, list[int]] | None = None
 
@@ -804,6 +822,7 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
     shares a triangle with one of them.
     """
     adj, packed, spanners = g.adj, s.edge_index, state.spanners
+    masks = g.masks()
     removed = ev.packing_removed
     new = set(ev.packing_added)
     new.update(packed[e] for t in removed for e in triangle_edges(t) if e in packed)
@@ -822,7 +841,7 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
             if b_packed and (not a_packed or aw in moved):
                 redo.add(bw)
     for e in redo:
-        ws = _spanning(adj, packed, *e) if e in packed else []
+        ws = _spanning(masks, packed, *e) if e in packed else []
         if ws != spanners.get(e, []):
             if ws:
                 spanners[e] = ws
@@ -852,7 +871,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     offsets = dict.fromkeys(traces, 0)
     end = 0
     s: TrianglePacking | None = None
-    state = _ScanState(sorted(g.adj))
+    state = _ScanState()
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
     high = -1           # the largest |S| since the last graph event
     recorded = None     # the packing the last R5 point holds
@@ -907,8 +926,6 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
             retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)
             state.after = ev.split_vertex  # None after R2, R3 and R9
-            if ev.rule == "R4":
-                state.order.extend(ev.split_minted)  # above every id so far
         for variant, trace in traces.items():
             trace.append(for_variant(ev, variant))
             offsets[variant] += trace[-1].k_delta

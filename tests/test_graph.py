@@ -9,6 +9,7 @@ from trikernel.graph import (
     MAX_DIMACS_VERTICES,
     Graph,
     GraphError,
+    Masks,
     ParseError,
     covers,
     dump_edgelist,
@@ -322,3 +323,95 @@ class TestGraphBasics:
             for v in g.adj[u]:
                 assert u in g.adj[v]
         assert sum(len(g.adj[v]) for v in g.vertices()) == 2 * g.m
+
+
+def assert_masks_follow_adj(g: Graph) -> None:
+    """``g``'s masks, if built, say what a build from ``adj`` says: each
+    vertex's mask holds exactly its neighbours, positions ascend with the
+    ids, and no mask is wider than the positions."""
+    masks = g._masks
+    if masks is None:
+        return
+    ids = masks.ids
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    assert masks.bit.keys() == masks.of.keys() == g.adj.keys()
+    fresh = Masks(g.adj)
+    for v, nbrs in g.adj.items():
+        assert masks.bit[v] == 1 << ids.index(v)
+        assert masks.members(masks.of[v]) == sorted(nbrs)
+        assert fresh.members(fresh.of[v]) == sorted(nbrs)
+        assert masks.of[v].bit_length() <= len(ids)
+
+
+BIG = 10**12
+
+
+class TestMasks:
+    """The neighbour masks are a derived view: once built, every mutator
+    and ``copy`` keep them equal to a build from ``adj``."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutators_keep_masks_equal_to_a_fresh_build(self, data):
+        g = Graph()
+        made = [g]  # a copy's changes must not reach the graph it came from
+        ids = st.integers(min_value=BIG, max_value=BIG + 40)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=40))):
+            verts = sorted(g.adj)
+            edges = g.edges()
+            op = data.draw(st.sampled_from(
+                ("masks", "add_vertex", "mint", "add_edge", "remove_edge",
+                 "remove_vertex", "split", "copy")))
+            if op == "masks":
+                g.masks()
+            elif op == "add_vertex":
+                g.add_vertex(data.draw(ids))  # below the top id at times
+            elif op == "mint":
+                g.add_vertex()
+            elif op == "add_edge":
+                u, v = data.draw(ids), data.draw(ids)
+                if u != v:
+                    g.add_edge(u, v)
+            elif op == "remove_edge" and edges:
+                g.remove_edge(*data.draw(st.sampled_from(edges)))
+            elif op == "remove_vertex" and verts:
+                g.remove_vertex(data.draw(st.sampled_from(verts)))
+            elif op == "split":
+                splittable = [v for v in verts if len(g.adj[v]) >= 2]
+                if splittable:
+                    v = data.draw(st.sampled_from(splittable))
+                    nbrs = sorted(g.adj[v])
+                    side = data.draw(st.sets(st.sampled_from(nbrs), min_size=1,
+                                             max_size=len(nbrs) - 1))
+                    g.split(v, [(v, u) for u in nbrs if u in side],
+                            [(v, u) for u in nbrs if u not in side])
+            elif op == "copy":
+                h = g.copy()
+                assert (h._masks is None) == (g._masks is None)
+                g = h
+                made.append(g)
+            assert_masks_follow_adj(g)
+        for h in made:
+            assert_masks_follow_adj(h)
+
+    def test_bits_are_ranks_not_ids(self):
+        g = Graph.from_edges([(BIG, BIG + 5), (BIG + 5, 3 * BIG)])
+        masks = g.masks()
+        assert masks.ids == [BIG, BIG + 5, 3 * BIG]
+        assert masks.of == {BIG: 0b010, BIG + 5: 0b101, 3 * BIG: 0b010}
+
+    def test_an_id_below_the_top_drops_the_masks_until_next_use(self):
+        g = Graph.from_edges([(1, 5)])
+        g.masks()
+        g.add_vertex(9)  # above the top: appended
+        assert g._masks.ids == [1, 5, 9]
+        g.remove_vertex(5)
+        g.add_vertex(7)  # below the top: dropped
+        assert g._masks is None
+        assert g.masks().ids == [1, 7, 9]
+
+    def test_building_masks_changes_no_version(self):
+        g = complete_graph(4)
+        version = g.version
+        g.masks()
+        assert g.version == version

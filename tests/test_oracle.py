@@ -454,6 +454,33 @@ class TestMemo:
         assert result["checked"] == 30 and not result["mismatches"]
         assert len(listed) == 2 and len(searched) <= 4
 
+    def test_a_kept_packing_ends_the_cover_search_at_its_size(self, monkeypatch):
+        """Here nu = tau, and the greedy cover is larger, so the cover
+        search runs.  With the packing kept, it stops at its first cover of
+        nu edges: it expands fewer nodes than a cold search and returns the
+        same cover.  Nodes are counted through the module's ``sorted``,
+        which the search calls once per node it expands."""
+        g = generate(GenSpec("erdos_renyi", 11, n=11, p=0.5))
+        expanded = []
+
+        def counting(*args, **kwargs):
+            expanded.append(1)
+            return sorted(*args, **kwargs)
+
+        def cover_search(pack_first: bool):
+            def run():
+                nu = solve_etp_exact(g, budget=False).optimum if pack_first else None
+                expanded.clear()
+                res = solve_etc_exact(g, budget=False)
+                return nu, len(expanded), (res.optimum, res.witness, res.exact)
+            return _in_fresh_thread(run)
+
+        monkeypatch.setattr(oracle_mod, "sorted", counting, raising=False)
+        _, cold_nodes, cold = cover_search(False)
+        nu, warm_nodes, warm = cover_search(True)
+        assert warm == cold and cold[0] == nu
+        assert warm_nodes < cold_nodes
+
     def test_packing_again_after_covering_another_list(self):
         """Packing on ``a``, covering on ``b`` (another triangle list, which
         replaces the memo), packing on ``a`` again: each answer is a cold

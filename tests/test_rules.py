@@ -219,10 +219,28 @@ def union_find_splittable(g: Graph, after=None):
     return None
 
 
-def order_with_gone(g: Graph) -> list[int]:
-    """An ascending vertex order as a run keeps it: every vertex of ``g``,
-    and ids of vertices that are gone between and around them."""
-    return sorted(set(g.adj) | {v + 1 for v in g.adj} | {0})
+def with_gone(g: Graph) -> Graph:
+    """``g`` with neighbour masks as a run keeps them: built on a graph that
+    also held vertices between and around ``g``'s ids, each joined to every
+    vertex of ``g``, which were then removed, so the masks' positions hold
+    ids that are gone."""
+    extra = sorted(({v + 1 for v in g.adj} | {0}) - set(g.adj))
+    h = Graph.from_edges(g.edges(), vertices=sorted(set(g.adj) | set(extra)))
+    for x in extra:
+        for v in g.adj:
+            h.add_edge(x, v)
+    h.masks()
+    for x in extra:
+        h.remove_vertex(x)
+    assert h.adj == g.adj and len(h.masks().ids) == len(g.adj) + len(extra)
+    return h
+
+
+def fresh_masks(g: Graph) -> Graph:
+    """A copy of ``g`` whose masks the next query builds from ``adj``."""
+    h = g.copy()
+    h._masks = None
+    return h
 
 
 @st.composite
@@ -314,7 +332,7 @@ class TestRuleK4:
     def test_equals_brute_force_search(self, g):
         expected = brute_exclusive_k4(g)
         assert find_exclusive_k4(g) == expected
-        assert find_exclusive_k4(g, order_with_gone(g)) == expected
+        assert find_exclusive_k4(with_gone(g)) == expected
 
     def test_decision_delta(self):
         g = complete_graph(4)
@@ -358,7 +376,7 @@ class TestRuleSplit:
         after = data.draw(st.one_of(st.none(), st.sampled_from(g.vertices() or [0])))
         expected = union_find_splittable(g, after)
         assert find_splittable(g, after) == expected
-        assert find_splittable(g, after, order_with_gone(g)) == expected
+        assert find_splittable(with_gone(g), after) == expected
 
 
 class TestSplitLemma:
@@ -828,8 +846,9 @@ def checked_run(g: Graph) -> Counter:
     ``_strict_spanners``, R7 answers what :func:`reference_augment_two`
     answers (R6 is exhausted at every R7 call the driver makes, so its
     pair filter must lose no witness), R8 what a call without the run's
-    spanners answers, and R3 and R4 what a call without the run's vertex
-    order answers.  Returns the checked calls per finder."""
+    spanners answers, and R3 and R4 what a call on masks built afresh from
+    the graph answers (the run keeps its masks through every event).
+    Returns the checked calls per finder."""
     import trikernel.rules as rules_mod
     real = {name: getattr(rules_mod, name) for name in (
         "_strict_spanners", "find_augment_one", "find_augment_two",
@@ -853,15 +872,15 @@ def checked_run(g: Graph) -> Counter:
         calls["find_revertex"] += 1
         return found
 
-    def splittable(g, after=None, order=None):
-        found = real["find_splittable"](g, after, order)
-        assert found == real["find_splittable"](g, after)
+    def splittable(g, after=None):
+        found = real["find_splittable"](g, after)
+        assert found == real["find_splittable"](fresh_masks(g), after)
         calls["find_splittable"] += 1
         return found
 
-    def exclusive_k4(g, order=None):
-        found = real["find_exclusive_k4"](g, order)
-        assert found == real["find_exclusive_k4"](g)
+    def exclusive_k4(g):
+        found = real["find_exclusive_k4"](g)
+        assert found == real["find_exclusive_k4"](fresh_masks(g))
         calls["find_exclusive_k4"] += 1
         return found
 
@@ -876,7 +895,7 @@ def checked_run(g: Graph) -> Counter:
 
 
 class TestResumedSwapPhase:
-    """A run keeps the spanners and one vertex order from scan to scan;
+    """A run keeps the spanners and the neighbour masks from scan to scan;
     every finder must still answer what a call that keeps nothing
     answers."""
 
@@ -1086,6 +1105,32 @@ class TestPausedRuns:
         assert min(alone) > 0
         assert sweep_calls(VARIANTS) == max(alone)
 
+    def test_a_sweep_builds_masks_once_and_never_on_the_input(self, monkeypatch):
+        """Every k and both problems on one graph drive one run, which
+        builds neighbour masks once, on its working copy: the events keep
+        them up to date, and the caller's graph gets none."""
+        import trikernel.graph as graph_mod
+        builds = []
+
+        class Counted(graph_mod.Masks):
+            __slots__ = ()
+
+            def __init__(self, adj):
+                builds.append(len(adj))
+                super().__init__(adj)
+
+        monkeypatch.setattr(graph_mod, "Masks", Counted)
+        seen = set()
+        for spec in corpus_specs(59, 10, "kernel"):
+            g = generate(spec)
+            builds.clear()
+            # a thread of its own keeps no run of an equal graph
+            seen |= _in_fresh_thread(lambda: {
+                ev.rule for k in range(g.n + 1) for variant in VARIANTS
+                for ev in kernelize(Instance(g, k, variant)).trace})
+            assert builds == [g.n] and g._masks is None, spec
+        assert {"R2", "R3", "R4", "R8", "R9"} <= seen
+
     def test_a_rebound_finder_is_used_on_a_kept_graph(self, monkeypatch):
         import trikernel.rules as rules_mod
         g = spanned_triangle(2)
@@ -1135,6 +1180,16 @@ class TestPausedRuns:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(results[call] == [serial[call]] * 4 for call in serial)
+
+
+def _in_fresh_thread(fn):
+    """``fn()`` in a new thread, which keeps no run yet."""
+    box = []
+    t = threading.Thread(target=lambda: box.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive() and len(box) == 1
+    return box[0]
 
 
 def _reference_json(trace) -> str:
