@@ -8,13 +8,14 @@ Edges are canonical ``(u, v)`` tuples with ``u < v``; triangles are canonical
 sorted 3-tuples.  All scanning helpers iterate in sorted order so that every
 algorithm built on top of this module is deterministic.
 
-Beside its adjacency sets a graph can hold a second, derived view of them:
-one int mask of neighbours per vertex (:class:`Masks`), so that a common-
-neighbour question is one ``&`` of two ints.  Bits stand for vertex ranks,
-never raw ids, so any non-negative id works.  The view is built by the
-first query that asks for it (:meth:`Graph.masks`); that build is the one
-write a query makes, and it is idempotent: the masks follow from ``adj``
-alone and no answer depends on whether they were built before.
+Beside its adjacency sets a graph can hold a second, derived view of them
+(:class:`Masks`): its vertices ranked by id and, where they fit, one int
+mask of neighbours per vertex, so that a common-neighbour question is one
+``&`` of two ints.  Bits stand for vertex ranks, never raw ids, so any
+non-negative id works.  The view is built by the first query that asks for
+it (:meth:`Graph.masks`); that build is the one write a query makes, and it
+is idempotent: the view follows from ``adj`` alone and no answer depends on
+whether it was built before.
 """
 
 from __future__ import annotations
@@ -58,34 +59,53 @@ def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
     return (a, b), (a, c), (b, c)
 
 
+# A mask is as wide as the highest position it holds, so the masks of n
+# vertices over w positions take up to n * w bits (n * n when built), while
+# the adjacency sets take about 570 bits (Python 3.11, 64-bit) per vertex
+# and per edge end.  Masks are built and kept only where n * w is at most
+# this many bits per vertex and per edge end: they then hold at most about
+# two thirds of what the sets hold, and one ``&`` costs O(1 + average
+# degree) machine words.  Every graph with up to 256 vertices qualifies; a
+# random graph of average degree 6 stops qualifying at n = 1,792.
+MASK_BITS_PER_ENTRY = 256
+
+
+def _masks_fit(n: int, m: int, width: int) -> bool:
+    """Do ``n`` masks of at most ``width`` bits fit a graph with ``n``
+    vertices and ``m`` edges?"""
+    return n * width <= MASK_BITS_PER_ENTRY * (n + 2 * m)
+
+
 class Masks:
-    """One int per vertex: bit ``i`` of ``of[v]`` is set when ``v`` is
-    adjacent to ``ids[i]``.
+    """The vertices by rank and, where they fit, one int per vertex: bit
+    ``i`` of ``of[v]`` is set when ``v`` is adjacent to ``ids[i]``.
 
-    ``ids`` holds the vertex ids by bit position and ascends: a build ranks
-    the vertices by id, and a vertex added later (a split's minted pair, an
-    id above every id so far) takes the next position.  ``bit[v]`` is
-    ``1 << i`` for the position ``i`` of a present vertex ``v``.  A vertex
-    that is gone keeps its place in ``ids`` (walks skip it, as it has no
-    ``of`` entry), so no position moves until the masks are built again.
+    ``ids`` holds the vertex ids by position and ascends: a build ranks the
+    vertices by id, and a vertex added later (a split's minted pair, an id
+    above every id so far) takes the next position.  ``pos[v]`` is the
+    position of a present vertex ``v``.  A vertex that is gone keeps its
+    place in ``ids`` (walks skip it, as it has no ``pos`` entry), so no
+    position moves until the view is built again.
 
-    A mask (and ``bit[v]``) is as wide as its highest position, so on a
-    random sparse graph the view takes about n**2 / 5 bytes (74 MB at
-    n = 20,000).
+    ``of`` is None when the masks would not fit (see
+    ``MASK_BITS_PER_ENTRY``: a large sparse graph); the callers then answer
+    on the adjacency sets, and walk ``ids`` all the same.  Once the
+    positions outgrow that limit (each split appends two and retires one),
+    the graph drops the view, and the next query builds it again over the
+    present vertices alone.
     """
 
-    __slots__ = ("of", "bit", "ids")
+    __slots__ = ("ids", "pos", "of")
 
-    def __init__(self, adj: dict[int, set[int]]) -> None:
-        self.ids = sorted(adj)
-        self.bit = {v: 1 << i for i, v in enumerate(self.ids)}
+    def __init__(self, adj: dict[int, set[int]], m: int) -> None:
+        self.ids = ids = sorted(adj)
+        self.pos = pos = dict(zip(ids, range(len(ids))))
+        if not _masks_fit(len(ids), m, len(ids)):
+            self.of = None
+            return
+        bit = {v: 1 << i for v, i in pos.items()}
         # distinct powers of two: their sum is their union
-        self.of = {v: sum(map(self.bit.__getitem__, nbrs)) for v, nbrs in adj.items()}
-
-    def copy(self) -> "Masks":
-        out = Masks.__new__(Masks)
-        out.of, out.bit, out.ids = dict(self.of), dict(self.bit), list(self.ids)
-        return out
+        self.of = {v: sum(map(bit.__getitem__, nbrs)) for v, nbrs in adj.items()}
 
     def members(self, mask: int) -> list[int]:
         """The ids of the bits of ``mask``, ascending."""
@@ -105,8 +125,8 @@ class Graph:
     its mutators: they keep ``m`` and ``version``, the count of changes made
     to this object (a copy starts again at 0), which lets a reader tell that
     a graph it saw before is still the same.  They also keep the neighbour
-    masks up to date once a query has built them (:meth:`masks`), and a
-    copy carries them.  That build is the only write a query makes; it
+    masks up to date once a query has built them (:meth:`masks`); a copy
+    starts without them.  That build is the only write a query makes; it
     changes neither ``adj`` nor ``version``, so concurrent readers see the
     same answers whichever of them builds the masks.
     """
@@ -137,8 +157,6 @@ class Graph:
         g.adj = {v: set(nbrs) for v, nbrs in self.adj.items()}
         g.next_id = self.next_id
         g._m = self._m
-        if self._masks is not None:
-            g._masks = self._masks.copy()
         return g
 
     # -- queries -----------------------------------------------------------
@@ -172,9 +190,14 @@ class Graph:
         return self.adj[u] & self.adj[v]
 
     def masks(self) -> Masks:
-        """The neighbour masks, built from ``adj`` on first use."""
+        """The ranks and neighbour masks, built from ``adj`` on first use."""
         if self._masks is None:
-            self._masks = Masks(self.adj)
+            self._masks = Masks(self.adj, self._m)
+        return self._masks
+
+    def built_masks(self) -> Masks | None:
+        """The view if a query has built it, else None, for a one-shot
+        question that a build would cost more than it saves."""
         return self._masks
 
     # -- mutation ----------------------------------------------------------
@@ -191,10 +214,14 @@ class Graph:
             if masks is not None:
                 if masks.ids and v <= masks.ids[-1]:
                     self._masks = None  # no place for it; built again on use
+                elif masks.of is not None and not _masks_fit(
+                        len(self.adj), self._m, len(masks.ids) + 1):
+                    self._masks = None  # too wide; built again, without gaps
                 else:
-                    masks.bit[v] = 1 << len(masks.ids)
+                    masks.pos[v] = len(masks.ids)
                     masks.ids.append(v)
-                    masks.of[v] = 0
+                    if masks.of is not None:
+                        masks.of[v] = 0
         if v >= self.next_id:
             self.next_id = v + 1
         return v
@@ -209,9 +236,10 @@ class Graph:
             self._m += 1
             self.version += 1
             masks = self._masks
-            if masks is not None:
-                masks.of[u] |= masks.bit[v]
-                masks.of[v] |= masks.bit[u]
+            if masks is not None and masks.of is not None:
+                of, pos = masks.of, masks.pos
+                of[u] |= 1 << pos[v]
+                of[v] |= 1 << pos[u]
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -221,9 +249,10 @@ class Graph:
         self._m -= 1
         self.version += 1
         masks = self._masks
-        if masks is not None:
-            masks.of[u] ^= masks.bit[v]
-            masks.of[v] ^= masks.bit[u]
+        if masks is not None and masks.of is not None:
+            of, pos = masks.of, masks.pos
+            of[u] ^= 1 << pos[v]
+            of[v] ^= 1 << pos[u]
 
     def remove_vertex(self, v: int) -> None:
         """Delete ``v`` and its incident edges."""
@@ -236,10 +265,11 @@ class Graph:
         self.version += 1
         masks = self._masks
         if masks is not None:
-            del masks.of[v]
-            b = masks.bit.pop(v)
-            for u in nbrs:
-                masks.of[u] ^= b
+            b = 1 << masks.pos.pop(v)
+            if masks.of is not None:
+                del masks.of[v]
+                for u in nbrs:
+                    masks.of[u] ^= b
 
     def split(self, v: int, part1: Iterable[Edge], part2: Iterable[Edge]) -> tuple[int, int]:
         """Split ``v`` in place, attaching ``part1`` to a fresh vertex and
@@ -257,20 +287,24 @@ class Graph:
             raise GraphError(f"split parts do not partition edges at {v}")
         minted = self.add_vertex(), self.add_vertex()
         masks = self._masks  # the minted ids exceed every id, so it is kept
+        of = None if masks is None else masks.of
         for part, fresh in zip((e1, e2), minted):
             moved = {b if a == v else a for a, b in part}
             for u in moved:
                 self.adj[u].discard(v)
                 self.adj[u].add(fresh)
             self.adj[fresh] = moved
-            if masks is not None:
-                swap = masks.bit[v] | masks.bit[fresh]
+            if of is not None:
+                pos = masks.pos
+                swap = (1 << pos[v]) | (1 << pos[fresh])
                 for u in moved:
-                    masks.of[u] ^= swap
-                masks.of[fresh] = sum(map(masks.bit.__getitem__, moved))
+                    of[u] ^= swap
+                of[fresh] = sum(map((1).__lshift__, map(pos.__getitem__, moved)))
         del self.adj[v]
         if masks is not None:
-            del masks.of[v], masks.bit[v]
+            del masks.pos[v]
+            if of is not None:
+                del of[v]
         self.version += 1
         return minted
 

@@ -82,18 +82,22 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     the lexicographic order tries first, and packing it blocks ``(u, v)``
     for every other ``w``.  A packed ``(u, v, w)`` leaves ``avail`` of
     ``v`` and ``w`` without each other; the bits of ``u`` it leaves, since
-    only vertices above ``u`` are read from here on.  Extra memory is O(n)
-    masks.
+    only vertices above ``u`` are read from here on.  Extra memory is a
+    copy of the masks, at most the size of the adjacency sets.  A graph
+    whose masks do not fit gets the same walk on sets
+    (:func:`_greedy_on_sets`).
     """
-    s = TrianglePacking()
     masks = g.masks()
-    ids, bit = masks.ids, masks.bit
+    if masks.of is None:
+        return _greedy_on_sets(g)
+    s = TrianglePacking()
+    ids, pos = masks.ids, masks.pos
     avail = dict(masks.of)
     for u in ids:
         au = avail.get(u)
         if au is None:  # gone
             continue
-        free = au & -(bit[u] << 1)  # the bits above u's
+        free = au & -(2 << pos[u])  # the bits above u's
         while free:
             bv = free & -free
             free ^= bv
@@ -106,6 +110,29 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
                 free ^= bw
                 avail[v] ^= bw
                 avail[w] ^= bv
+    return s
+
+
+def _greedy_on_sets(g: Graph) -> TrianglePacking:
+    """:func:`greedy_maximal_packing`'s walk on the adjacency sets:
+    ``sorted(free)`` and ``min(cand)`` take the place of the lowest bits.
+    Extra memory is O(n + m)."""
+    s = TrianglePacking()
+    avail = {u: set(nu) for u, nu in g.adj.items()}
+    for u in sorted(avail):
+        free = {x for x in avail[u] if x > u}
+        for v in sorted(free):
+            if v not in free:
+                continue
+            free.discard(v)
+            cand = free & avail[v]
+            if cand:
+                w = min(cand)
+                s.add((u, v, w))
+                free.discard(w)
+                for a, b in ((u, v), (u, w), (v, w)):
+                    avail[a].discard(b)
+                    avail[b].discard(a)
     return s
 
 
@@ -136,11 +163,19 @@ def remaximalize(g: Graph, s: TrianglePacking,
 
 
 def labeled_edges(g: Graph, s: TrianglePacking) -> set[Edge]:
-    """Packed edges spanned by at least one vertex outside the packing."""
-    masks = g.masks()
-    of, bit = masks.of, masks.bit
-    # distinct powers of two: their sum is their union
-    free = sum(bit.values()) - sum(bit[v] for v in s.vertex_set())
+    """Packed edges spanned by at least one vertex outside the packing.
+
+    One question per packed edge: it builds no masks, and answers on sets
+    unless the graph has masks already (a run's working graph)."""
+    masks, adj = g.built_masks(), g.adj
+    if masks is None or masks.of is None:
+        free = g.vertex_set() - s.vertex_set()
+        return {(u, v) for u, v in s.edge_index if adj[u] & adj[v] & free}
+    of, pos = masks.of, masks.pos
+    # every position but the packing's; a gone one is in no mask
+    free = (1 << len(masks.ids)) - 1
+    for v in s.vertex_set():
+        free ^= 1 << pos[v]
     return {(u, v) for u, v in s.edge_index if of[u] & of[v] & free}
 
 

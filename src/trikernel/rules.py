@@ -24,12 +24,13 @@ those.
 The structural scans and the greedy packing ask common-neighbour
 questions, and answer them on the working graph's neighbour masks
 (:meth:`Graph.masks`), built by the run's first scan and kept up to date by
-every event.  R3 and R4 walk the masks' positions, which are one ascending
-vertex order per run: the sorted input vertices, with each split's two
-minted ids appended (they exceed every id so far).  Vertices that are gone
-are skipped, and R4 resumes from the place of the vertex it last split, so
-no scan sorts the graph's vertices.  The caller's graph never gets masks
-from a run: the run works on a copy of it.
+every event; a graph too large and sparse for masks is answered on its
+adjacency sets, with the same answers.  R3 and R4 walk the view's
+positions, which are one ascending vertex order per run: the sorted input
+vertices, with each split's two minted ids appended (they exceed every id
+so far).  Vertices that are gone are skipped, and R4 resumes from the place
+of the vertex it last split, so no scan sorts the graph's vertices.  The
+caller's graph never gets masks from a run: the run works on a copy of it.
 
 The swap phase resumes too: the graph is fixed until the next graph event,
 so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
@@ -372,16 +373,18 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
     One application removes the whole set (deleting triangle-free material
     never destroys a triangle, so the batch is the single-deletion fixpoint).
     Returned edges exclude those incident to returned vertices.  An edge is
-    dead when its ends' neighbour masks do not meet.
+    dead when its ends' neighbour masks (or sets, where the masks do not
+    fit) do not meet.
     """
     adj, of = g.adj, g.masks().of
+    nbhd = adj if of is None else of
     live: set[int] = set()
     dead_edges: list[Edge] = []
     for u, nu in adj.items():
-        mu = of[u]
+        mu = nbhd[u]
         for v in nu:
             if u < v:
-                if mu & of[v]:
+                if mu & nbhd[v]:
                     live.add(u)
                     live.add(v)
                 else:
@@ -394,11 +397,12 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
 
 
 def _is_exclusive_k4(masks: Masks, quad: Sequence[int]) -> bool:
-    of, bit = masks.of, masks.bit
-    members = bit[quad[0]] | bit[quad[1]] | bit[quad[2]] | bit[quad[3]]
-    for a, b in combinations(quad, 2):
-        ab = bit[a] | bit[b]
-        if not of[a] & bit[b] or of[a] & of[b] != members ^ ab:
+    of, pos = masks.of, masks.pos
+    bits = (1 << pos[quad[0]], 1 << pos[quad[1]],
+            1 << pos[quad[2]], 1 << pos[quad[3]])
+    members = bits[0] | bits[1] | bits[2] | bits[3]
+    for (a, ba), (b, bb) in combinations(zip(quad, bits), 2):
+        if not of[a] & bb or of[a] & of[b] != members ^ ba ^ bb:
             return False
     return True
 
@@ -413,9 +417,12 @@ def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
     ``u`` up the masks' positions (ascending ids; module docstring), meets
     each quad at its smallest edge ``(u, v)`` and returns the smallest quad
     of the first ``u`` that has one: ``u`` is the quad's smallest member.
+    Where the masks do not fit, :func:`_exclusive_k4_on_sets` scans.
     """
     masks = g.masks()
     adj, of, ids = g.adj, masks.of, masks.ids
+    if of is None:
+        return _exclusive_k4_on_sets(adj, ids)
     for u in ids:
         mu = of.get(u)
         if mu is None:  # gone
@@ -431,6 +438,31 @@ def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
                     quad = (u, v, w, x)
                     if (v < w and (best is None or quad < best)
                             and _is_exclusive_k4(masks, quad)):
+                        best = quad
+        if best is not None:
+            return best
+    return None
+
+
+def _exclusive_k4_on_sets(
+    adj: dict[int, set[int]], order: Sequence[int],
+) -> tuple[int, int, int, int] | None:
+    """:func:`find_exclusive_k4`'s scan on the adjacency sets, walking
+    ``u`` up ``order`` (the masks' positions; gone vertices are skipped)."""
+    for u in order:
+        nu = adj.get(u)
+        if nu is None:
+            continue
+        best = None
+        for v in nu:
+            if v > u:
+                common = nu & adj[v]
+                if len(common) == 2:
+                    w, x = sorted(common)
+                    quad = (u, v, w, x)
+                    if v < w and (best is None or quad < best) and all(
+                            b in adj[a] and adj[a] & adj[b] == set(quad) - {a, b}
+                            for a, b in combinations(quad, 2)):
                         best = quad
         if best is not None:
             return best
@@ -455,10 +487,13 @@ def find_splittable(
 
     The driver passes ``after`` = the vertex it just split: no vertex below
     it can have become splittable (see the module docstring).  The scan
-    walks the masks' positions from ``after``'s place on."""
+    walks the masks' positions from ``after``'s place on.  Where the masks
+    do not fit, :func:`_splittable_on_sets` searches."""
     masks = g.masks()
     of, ids = masks.of, masks.ids
     start = 0 if after is None else bisect_right(ids, after)
+    if of is None:
+        return _splittable_on_sets(g.adj, islice(ids, start, None))
     for v in islice(ids, start, None):
         nbrs = of.get(v)
         if nbrs is None or not nbrs & (nbrs - 1):  # gone, or < 2 neighbours
@@ -482,9 +517,39 @@ def find_splittable(
     return None
 
 
-def _spanning(masks: Masks, packed: dict, a: int, b: int) -> list[int]:
+def _splittable_on_sets(
+    adj: dict[int, set[int]], order: Iterable[int],
+) -> tuple[int, list[Edge], list[Edge]] | None:
+    """:func:`find_splittable`'s search on the adjacency sets, over the
+    vertices of ``order`` (gone vertices are skipped): a queue of reached
+    vertices takes the place of ``todo``."""
+    for v in order:
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) < 2:
+            continue
+        seed = min(nbrs)
+        rest = nbrs - {seed}
+        queue = [seed]
+        while queue and rest:
+            reached = adj[queue.pop()] & rest
+            rest -= reached
+            queue.extend(reached)
+        if rest:
+            part1 = sorted(edge_key(v, u) for u in nbrs - rest)
+            part2 = sorted(edge_key(v, u) for u in rest)
+            return v, part1, part2
+    return None
+
+
+def _spanning(adj: dict[int, set[int]], masks: Masks, packed: dict,
+              a: int, b: int) -> list[int]:
     """The vertices spanning ``(a, b)`` through two free edges, ascending."""
-    common = masks.of[a] & masks.of[b]
+    of = masks.of
+    if of is None:  # masks do not fit: sets
+        return [w for w in sorted(adj[a] & adj[b])
+                if ((a, w) if a < w else (w, a)) not in packed
+                and ((b, w) if b < w else (w, b)) not in packed]
+    common = of[a] & of[b]
     if not common & (common - 1):
         return []  # a packed edge's one common neighbour is its triangle's
     ids, out = masks.ids, []
@@ -506,10 +571,10 @@ def _strict_spanners(g: Graph, s: TrianglePacking) -> dict[Edge, list[int]]:
     disqualify themselves because their side edges are packed.  Edges with
     no such vertex have no entry.
     """
-    masks, packed = g.masks(), s.edge_index
+    adj, masks, packed = g.adj, g.masks(), s.edge_index
     out: dict[Edge, list[int]] = {}
     for e in packed:
-        ws = _spanning(masks, packed, *e)
+        ws = _spanning(adj, masks, packed, *e)
         if ws:
             out[e] = ws
     return out
@@ -841,7 +906,7 @@ def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
             if b_packed and (not a_packed or aw in moved):
                 redo.add(bw)
     for e in redo:
-        ws = _spanning(masks, packed, *e) if e in packed else []
+        ws = _spanning(adj, masks, packed, *e) if e in packed else []
         if ws != spanners.get(e, []):
             if ws:
                 spanners[e] = ws

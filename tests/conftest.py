@@ -2,11 +2,32 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from itertools import combinations
 
+import pytest
 from hypothesis import strategies as st
 
+import trikernel.graph as graph_mod
 from trikernel.graph import Graph
+
+
+@contextmanager
+def masks_never_fit():
+    """Within it, a graph's neighbour view is built without masks, as for a
+    large sparse graph (``graph.MASK_BITS_PER_ENTRY``), so every finder
+    answers on the adjacency sets."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "MASK_BITS_PER_ENTRY", 0)
+        yield
+
+
+def on_sets(g: Graph) -> Graph:
+    """A copy of ``g`` whose neighbour view holds no masks."""
+    h = g.copy()
+    with masks_never_fit():
+        assert h.masks().of is None or not h.adj
+    return h
 
 
 def complete_graph(n: int, offset: int = 0) -> Graph:

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trikernel.graph as graph_mod
 from trikernel.graph import (
+    MASK_BITS_PER_ENTRY,
     MAX_DIMACS_VERTICES,
     Graph,
     GraphError,
@@ -326,20 +329,25 @@ class TestGraphBasics:
 
 
 def assert_masks_follow_adj(g: Graph) -> None:
-    """``g``'s masks, if built, say what a build from ``adj`` says: each
-    vertex's mask holds exactly its neighbours, positions ascend with the
-    ids, and no mask is wider than the positions."""
+    """``g``'s neighbour view, if built, says what a build from ``adj``
+    says: positions ascend with the ids, each vertex's mask (where there are
+    masks) holds exactly its neighbours, and no mask is wider than the
+    positions."""
     masks = g._masks
     if masks is None:
         return
     ids = masks.ids
     assert all(a < b for a, b in zip(ids, ids[1:]))
-    assert masks.bit.keys() == masks.of.keys() == g.adj.keys()
-    fresh = Masks(g.adj)
+    assert masks.pos.keys() == g.adj.keys()
+    assert all(ids[masks.pos[v]] == v for v in g.adj)
+    if masks.of is None:
+        return
+    assert masks.of.keys() == g.adj.keys()
+    fresh = Masks(g.adj, g.m)
     for v, nbrs in g.adj.items():
-        assert masks.bit[v] == 1 << ids.index(v)
         assert masks.members(masks.of[v]) == sorted(nbrs)
-        assert fresh.members(fresh.of[v]) == sorted(nbrs)
+        if fresh.of is not None:
+            assert fresh.members(fresh.of[v]) == sorted(nbrs)
         assert masks.of[v].bit_length() <= len(ids)
 
 
@@ -347,12 +355,22 @@ BIG = 10**12
 
 
 class TestMasks:
-    """The neighbour masks are a derived view: once built, every mutator
-    and ``copy`` keep them equal to a build from ``adj``."""
+    """The neighbour view is derived: once built, every mutator keeps it
+    equal to a build from ``adj``, with or without masks; a copy starts
+    without it."""
 
-    @given(st.data())
+    @pytest.mark.parametrize("per_entry", [10**9, 16, 0],
+                             ids=["masks", "outgrown", "sets"])
+    @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_mutators_keep_masks_equal_to_a_fresh_build(self, data):
+    def test_mutators_keep_masks_equal_to_a_fresh_build(self, per_entry, data):
+        """With masks always (``per_entry`` large), never (0), or until the
+        positions outgrow a tight limit (16)."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "MASK_BITS_PER_ENTRY", per_entry)
+            self._mutate(data)
+
+    def _mutate(self, data) -> None:
         g = Graph()
         made = [g]  # a copy's changes must not reach the graph it came from
         ids = st.integers(min_value=BIG, max_value=BIG + 40)
@@ -363,7 +381,11 @@ class TestMasks:
                 ("masks", "add_vertex", "mint", "add_edge", "remove_edge",
                  "remove_vertex", "split", "copy")))
             if op == "masks":
-                g.masks()
+                masks = g.masks()
+                if graph_mod.MASK_BITS_PER_ENTRY > 10**6:
+                    assert masks.of is not None
+                elif not graph_mod.MASK_BITS_PER_ENTRY and g.adj:
+                    assert masks.of is None
             elif op == "add_vertex":
                 g.add_vertex(data.draw(ids))  # below the top id at times
             elif op == "mint":
@@ -387,7 +409,7 @@ class TestMasks:
                             [(v, u) for u in nbrs if u not in side])
             elif op == "copy":
                 h = g.copy()
-                assert (h._masks is None) == (g._masks is None)
+                assert h._masks is None and h.adj == g.adj
                 g = h
                 made.append(g)
             assert_masks_follow_adj(g)
@@ -398,6 +420,7 @@ class TestMasks:
         g = Graph.from_edges([(BIG, BIG + 5), (BIG + 5, 3 * BIG)])
         masks = g.masks()
         assert masks.ids == [BIG, BIG + 5, 3 * BIG]
+        assert masks.pos == {BIG: 0, BIG + 5: 1, 3 * BIG: 2}
         assert masks.of == {BIG: 0b010, BIG + 5: 0b101, 3 * BIG: 0b010}
 
     def test_an_id_below_the_top_drops_the_masks_until_next_use(self):
@@ -409,6 +432,64 @@ class TestMasks:
         g.add_vertex(7)  # below the top: dropped
         assert g._masks is None
         assert g.masks().ids == [1, 7, 9]
+
+    def test_a_large_sparse_graph_gets_ranks_but_no_masks(self):
+        # n * n bits would exceed MASK_BITS_PER_ENTRY bits per vertex and
+        # per edge end: a cycle on 1,000 vertices, or 257 lone vertices
+        big = 1000
+        assert big * big > MASK_BITS_PER_ENTRY * 3 * big
+        g = Graph.from_edges((BIG + i, BIG + (i + 1) % big) for i in range(big))
+        masks = g.masks()
+        assert masks.of is None and masks.ids == sorted(g.adj)
+        lone = Graph.from_edges((), vertices=range(MASK_BITS_PER_ENTRY + 1))
+        assert lone.masks().of is None
+        fits = Graph.from_edges((), vertices=range(MASK_BITS_PER_ENTRY))
+        assert fits.masks().of == dict.fromkeys(range(MASK_BITS_PER_ENTRY), 0)
+        assert complete_graph(MASK_BITS_PER_ENTRY + 1).masks().of is not None
+
+    def test_positions_past_the_limit_drop_the_view(self):
+        """Positions outgrow the limit through vertices that are gone (a
+        rebuild ranks only the rest, with masks again) or through vertices
+        that are present (a rebuild has no masks)."""
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
+        for _ in range(MASK_BITS_PER_ENTRY * 2):
+            masks = g.masks()
+            if len(masks.ids) > MASK_BITS_PER_ENTRY:
+                g.remove_vertex(masks.ids[-1])
+            g.add_vertex()  # one more position
+            if g._masks is None:
+                break
+            assert_masks_follow_adj(g)
+        assert g._masks is None
+        assert g.masks().of is not None and len(g.masks().ids) == g.n
+        for _ in range(MASK_BITS_PER_ENTRY * 2):
+            g.add_vertex()
+            if g._masks is None:
+                break
+        assert g._masks is None and g.masks().of is None
+        assert_masks_follow_adj(g)
+
+    @pytest.mark.parametrize("n, degree", [(1700, 6), (3000, 6)])
+    def test_the_view_never_outweighs_the_adjacency_sets(self, n, degree):
+        """Masks where they fit (just below the limit at n = 1,700), ranks
+        alone where they do not (n = 3,000): either way the view holds less
+        than a copy of the adjacency sets."""
+        rng = random.Random(n)
+        g = Graph.from_edges((), vertices=range(n))
+        while g.m < n * degree // 2:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                g.add_edge(u, v)
+        tracemalloc.start()
+        try:
+            sets = g.copy()
+            sets_bytes = tracemalloc.get_traced_memory()[0]
+            view = Masks(g.adj, g.m)
+            view_bytes = tracemalloc.get_traced_memory()[0] - sets_bytes
+        finally:
+            tracemalloc.stop()
+        assert (view.of is not None) == (n < 1792), n
+        assert view_bytes < sets_bytes, (view_bytes, sets_bytes, sets.n)
 
     def test_building_masks_changes_no_version(self):
         g = complete_graph(4)

@@ -15,6 +15,7 @@ from conftest import (
     complete_graph,
     disjoint_triangles,
     graphs,
+    on_sets,
     reshaped,
     spanned_triangle,
 )
@@ -43,6 +44,14 @@ class TestGreedyPacking:
         packed = set(s.edge_index)
         for t in enumerate_triangles(g):
             assert any(e in packed for e in triangle_edges(t))
+
+    @given(reshaped(graphs(max_n=10)))
+    @settings(max_examples=100, deadline=None)
+    def test_sets_pack_what_masks_pack(self, g):
+        """A graph too sparse for masks gets the same walk on sets."""
+        s = greedy_maximal_packing(g)
+        assert greedy_maximal_packing(on_sets(g)).triangles == s.triangles
+        assert remaximalize(g, TrianglePacking(), g.edges()).triangles == s.triangles
 
     def test_deterministic(self):
         g = complete_graph(6)
@@ -148,6 +157,14 @@ class TestLabeledEdges:
                     if set(e).issubset(g.adj[3])}
         assert expected == {(0, 1), (0, 2), (1, 2)}
         assert labeled_edges(g, s) == expected
+
+    @given(reshaped(graphs(max_n=10)))
+    @settings(max_examples=100, deadline=None)
+    def test_masks_and_sets_label_alike(self, g):
+        s = greedy_maximal_packing(g)
+        free = g.vertex_set() - s.vertex_set()
+        expected = {e for e in s.edge_index if g.common_neighbors(*e) & free}
+        assert labeled_edges(g, s) == labeled_edges(on_sets(g), s) == expected
 
 
 class TestClassification:

@@ -54,6 +54,7 @@ from conftest import (
     cycle_graph,
     disjoint_triangles,
     graphs,
+    masks_never_fit,
     reshaped,
     spanned_triangle,
 )
@@ -220,10 +221,11 @@ def union_find_splittable(g: Graph, after=None):
 
 
 def with_gone(g: Graph) -> Graph:
-    """``g`` with neighbour masks as a run keeps them: built on a graph that
+    """``g`` with a neighbour view as a run keeps it: built on a graph that
     also held vertices between and around ``g``'s ids, each joined to every
-    vertex of ``g``, which were then removed, so the masks' positions hold
-    ids that are gone."""
+    vertex of ``g``, which were then removed, so the view's positions hold
+    ids that are gone (under :func:`masks_never_fit`, a view without
+    masks)."""
     extra = sorted(({v + 1 for v in g.adj} | {0}) - set(g.adj))
     h = Graph.from_edges(g.edges(), vertices=sorted(set(g.adj) | set(extra)))
     for x in extra:
@@ -233,13 +235,6 @@ def with_gone(g: Graph) -> Graph:
     for x in extra:
         h.remove_vertex(x)
     assert h.adj == g.adj and len(h.masks().ids) == len(g.adj) + len(extra)
-    return h
-
-
-def fresh_masks(g: Graph) -> Graph:
-    """A copy of ``g`` whose masks the next query builds from ``adj``."""
-    h = g.copy()
-    h._masks = None
     return h
 
 
@@ -333,6 +328,9 @@ class TestRuleK4:
         expected = brute_exclusive_k4(g)
         assert find_exclusive_k4(g) == expected
         assert find_exclusive_k4(with_gone(g)) == expected
+        with masks_never_fit():
+            on_sets = with_gone(g)
+        assert find_exclusive_k4(on_sets) == expected
 
     def test_decision_delta(self):
         g = complete_graph(4)
@@ -377,6 +375,9 @@ class TestRuleSplit:
         expected = union_find_splittable(g, after)
         assert find_splittable(g, after) == expected
         assert find_splittable(with_gone(g), after) == expected
+        with masks_never_fit():
+            on_sets = with_gone(g)
+        assert find_splittable(on_sets, after) == expected
 
 
 class TestSplitLemma:
@@ -825,6 +826,29 @@ class TestFrozenBehaviour:
         assert _sweep_digest(graphs, order) == (
             "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
 
+    def test_sets_give_the_digests_masks_give(self):
+        """Runs on graphs too sparse for masks answer on the adjacency sets;
+        on the same samples they must give the same digests.  Each sweep
+        runs in a thread of its own, which keeps no run from a sweep with
+        masks."""
+        kernel = [generate(spec) for spec in corpus_specs(59, 60, "kernel")]
+        swap = [generate(spec) for spec in SWAP_HEAVY]
+
+        def sweeps():
+            with masks_never_fit():
+                return (
+                    _sweep_digest(kernel, [
+                        (i, k, variant) for i, g in enumerate(kernel)
+                        for k in range(g.n + 1) for variant in VARIANTS]),
+                    _sweep_digest(swap, [
+                        (i, k, variant) for i, g in enumerate(swap)
+                        for k in sorted({1, g.n // 4, g.n // 2, g.n})
+                        for variant in VARIANTS]))
+
+        assert _in_fresh_thread(sweeps) == (
+            "be5189c6755e76db067aeae18589ae3b6959a47f5ecac3fe06122a6619183d1b",
+            "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
+
 
 def reference_augment_two(g: Graph, s: TrianglePacking):
     """Rule 7 as an unfiltered scan: every vertex-sharing pair, in
@@ -846,8 +870,8 @@ def checked_run(g: Graph) -> Counter:
     ``_strict_spanners``, R7 answers what :func:`reference_augment_two`
     answers (R6 is exhausted at every R7 call the driver makes, so its
     pair filter must lose no witness), R8 what a call without the run's
-    spanners answers, and R3 and R4 what a call on masks built afresh from
-    the graph answers (the run keeps its masks through every event).
+    spanners answers, and R3 and R4 what a call on a copy answers (a copy
+    builds its masks afresh; the run keeps its masks through every event).
     Returns the checked calls per finder."""
     import trikernel.rules as rules_mod
     real = {name: getattr(rules_mod, name) for name in (
@@ -874,13 +898,13 @@ def checked_run(g: Graph) -> Counter:
 
     def splittable(g, after=None):
         found = real["find_splittable"](g, after)
-        assert found == real["find_splittable"](fresh_masks(g), after)
+        assert found == real["find_splittable"](g.copy(), after)
         calls["find_splittable"] += 1
         return found
 
     def exclusive_k4(g):
         found = real["find_exclusive_k4"](g)
-        assert found == real["find_exclusive_k4"](fresh_masks(g))
+        assert found == real["find_exclusive_k4"](g.copy())
         calls["find_exclusive_k4"] += 1
         return found
 
@@ -1115,9 +1139,9 @@ class TestPausedRuns:
         class Counted(graph_mod.Masks):
             __slots__ = ()
 
-            def __init__(self, adj):
+            def __init__(self, adj, m):
                 builds.append(len(adj))
-                super().__init__(adj)
+                super().__init__(adj, m)
 
         monkeypatch.setattr(graph_mod, "Masks", Counted)
         seen = set()
