@@ -5,8 +5,10 @@ retires its id, and splitting a vertex mints two fresh ids from a monotone
 counter, so transformation traces can name every vertex they ever touched.
 
 Edges are canonical ``(u, v)`` tuples with ``u < v``; triangles are canonical
-sorted 3-tuples.  All scanning helpers iterate in sorted order so that every
-algorithm built on top of this module is deterministic.
+sorted 3-tuples.  Every helper that returns a list of vertices, edges or
+triangles returns it sorted, so that every algorithm built on top of this
+module is deterministic; callers that walk ``adj`` sets unsorted (the Rule 2
+and Rule 3 scans) do so only where the answer does not depend on the order.
 
 Beside its adjacency sets a graph can hold a second, derived view of them
 (:class:`Masks`): its vertices ranked by id and, where they fit, one int
@@ -124,11 +126,13 @@ class Graph:
     copying before handing it to anyone else.  Change a graph only through
     its mutators: they keep ``m`` and ``version``, the count of changes made
     to this object (a copy starts again at 0), which lets a reader tell that
-    a graph it saw before is still the same.  They also keep the neighbour
-    masks up to date once a query has built them (:meth:`masks`); a copy
-    starts without them.  That build is the only write a query makes; it
-    changes neither ``adj`` nor ``version``, so concurrent readers see the
-    same answers whichever of them builds the masks.
+    a graph it saw before is still the same.  Once a query has built the
+    neighbour view (:meth:`masks`), the mutators a run makes (removals and
+    splits) and ``add_vertex`` keep it up to date; ``add_edge``, which no
+    run makes, drops it until next use, and a copy starts without it.  That
+    build is the only write a query makes; it changes neither ``adj`` nor
+    ``version``, so concurrent readers see the same answers whichever of
+    them builds the masks.
     """
 
     __slots__ = ("adj", "next_id", "_m", "version", "_masks")
@@ -235,11 +239,7 @@ class Graph:
             self.adj[v].add(u)
             self._m += 1
             self.version += 1
-            masks = self._masks
-            if masks is not None and masks.of is not None:
-                of, pos = masks.of, masks.pos
-                of[u] |= 1 << pos[v]
-                of[v] |= 1 << pos[u]
+            self._masks = None  # built again on use
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):

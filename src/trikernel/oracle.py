@@ -302,7 +302,7 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     # ``limit + 1`` are searched and no witness is held until one is found.
     best: int | None
     if limit is None or len(greedy) <= limit + 1:
-        cap, best = len(greedy), _or_all(greedy)
+        cap, best = len(greedy), sum(greedy)  # distinct edge bits
     else:
         cap, best = limit + 2, None
 
@@ -383,13 +383,6 @@ def _greedy_cover(masks: list[int]) -> list[int]:
                 counts[b] -= 1
         live = rest
     return chosen
-
-
-def _or_all(bits: list[int]) -> int:
-    out = 0
-    for b in bits:
-        out |= b
-    return out
 
 
 def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:

@@ -84,12 +84,14 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     ``v`` and ``w`` without each other; the bits of ``u`` it leaves, since
     only vertices above ``u`` are read from here on.  Extra memory is a
     copy of the masks, at most the size of the adjacency sets.  A graph
-    whose masks do not fit gets the same walk on sets
-    (:func:`_greedy_on_sets`).
+    whose masks do not fit gets :func:`remaximalize`'s full pass instead,
+    which tries every triangle in the same lexicographic order on the
+    adjacency sets and so packs the same triangles; its extra memory is the
+    list of all triangles.
     """
     masks = g.masks()
     if masks.of is None:
-        return _greedy_on_sets(g)
+        return remaximalize(g, TrianglePacking(), g.edges())
     s = TrianglePacking()
     ids, pos = masks.ids, masks.pos
     avail = dict(masks.of)
@@ -110,29 +112,6 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
                 free ^= bw
                 avail[v] ^= bw
                 avail[w] ^= bv
-    return s
-
-
-def _greedy_on_sets(g: Graph) -> TrianglePacking:
-    """:func:`greedy_maximal_packing`'s walk on the adjacency sets:
-    ``sorted(free)`` and ``min(cand)`` take the place of the lowest bits.
-    Extra memory is O(n + m)."""
-    s = TrianglePacking()
-    avail = {u: set(nu) for u, nu in g.adj.items()}
-    for u in sorted(avail):
-        free = {x for x in avail[u] if x > u}
-        for v in sorted(free):
-            if v not in free:
-                continue
-            free.discard(v)
-            cand = free & avail[v]
-            if cand:
-                w = min(cand)
-                s.add((u, v, w))
-                free.discard(w)
-                for a, b in ((u, v), (u, w), (v, w)):
-                    avail[a].discard(b)
-                    avail[b].discard(a)
     return s
 
 

@@ -25,12 +25,17 @@ The structural scans and the greedy packing ask common-neighbour
 questions, and answer them on the working graph's neighbour masks
 (:meth:`Graph.masks`), built by the run's first scan and kept up to date by
 every event; a graph too large and sparse for masks is answered on its
-adjacency sets, with the same answers.  R3 and R4 walk the view's
-positions, which are one ascending vertex order per run: the sorted input
-vertices, with each split's two minted ids appended (they exceed every id
-so far).  Vertices that are gone are skipped, and R4 resumes from the place
-of the vertex it last split, so no scan sorts the graph's vertices.  The
-caller's graph never gets masks from a run: the run works on a copy of it.
+adjacency sets, with the same answers.  R2 and R3 share one body for
+either format: ``&`` and a count work on ints and sets alike.  R4's
+search, the spanners and :func:`packing.labeled_edges` keep a set body
+beside the mask one, which a shared body would slow down; the greedy
+packing's set side is :func:`packing.remaximalize`'s full pass.  R3 and R4
+walk the view's positions, which are one ascending vertex order per run:
+the sorted input vertices, with each split's two minted ids appended (they
+exceed every id so far).  Vertices that are gone are skipped, and R4
+resumes from the place of the vertex it last split, so no scan sorts the
+graph's vertices.  The caller's graph never gets masks from a run: the run
+works on a copy of it.
 
 The swap phase resumes too: the graph is fixed until the next graph event,
 so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
@@ -396,73 +401,39 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
             sorted(e for e in dead_edges if e[0] in live and e[1] in live))
 
 
-def _is_exclusive_k4(masks: Masks, quad: Sequence[int]) -> bool:
-    of, pos = masks.of, masks.pos
-    bits = (1 << pos[quad[0]], 1 << pos[quad[1]],
-            1 << pos[quad[2]], 1 << pos[quad[3]])
-    members = bits[0] | bits[1] | bits[2] | bits[3]
-    for (a, ba), (b, bb) in combinations(zip(quad, bits), 2):
-        if not of[a] & bb or of[a] & of[b] != members ^ ba ^ bb:
-            return False
-    return True
-
-
 def find_exclusive_k4(g: Graph) -> tuple[int, int, int, int] | None:
     """Rule 3: the lexicographically smallest four vertices inducing a K4
     whose six edges lie only in the four internal triangles.
 
     Each edge of such a K4 has exactly the other two members as common
-    neighbours, so edges whose masks share other than two bits are skipped
-    at once, and the K4's smallest edge alone determines it.  The scan walks
-    ``u`` up the masks' positions (ascending ids; module docstring), meets
+    neighbours, so edges whose ends share other than two neighbours are
+    skipped at once, and the K4's smallest edge alone determines it.  A quad
+    qualifies when its six pairs are adjacent and each pair shares exactly
+    two neighbours: in a K4 those are the other two members.  The scan walks
+    ``u`` up the view's positions (ascending ids; module docstring), meets
     each quad at its smallest edge ``(u, v)`` and returns the smallest quad
     of the first ``u`` that has one: ``u`` is the quad's smallest member.
-    Where the masks do not fit, :func:`_exclusive_k4_on_sets` scans.
+    One body serves both formats: it intersects the neighbour masks, or the
+    adjacency sets where the masks do not fit.
     """
     masks = g.masks()
-    adj, of, ids = g.adj, masks.of, masks.ids
-    if of is None:
-        return _exclusive_k4_on_sets(adj, ids)
-    for u in ids:
-        mu = of.get(u)
-        if mu is None:  # gone
+    adj, of = g.adj, masks.of
+    nb, count, members = ((adj, len, sorted) if of is None
+                          else (of, int.bit_count, masks.members))
+    for u in masks.ids:
+        nu = nb.get(u)
+        if nu is None:  # gone
             continue
         best = None
         for v in adj[u]:
             if v > u:
-                common = mu & of[v]
-                if common.bit_count() == 2:
-                    low = common & -common
-                    w = ids[low.bit_length() - 1]
-                    x = ids[(common ^ low).bit_length() - 1]
+                common = nu & nb[v]
+                if count(common) == 2:
+                    w, x = members(common)
                     quad = (u, v, w, x)
                     if (v < w and (best is None or quad < best)
-                            and _is_exclusive_k4(masks, quad)):
-                        best = quad
-        if best is not None:
-            return best
-    return None
-
-
-def _exclusive_k4_on_sets(
-    adj: dict[int, set[int]], order: Sequence[int],
-) -> tuple[int, int, int, int] | None:
-    """:func:`find_exclusive_k4`'s scan on the adjacency sets, walking
-    ``u`` up ``order`` (the masks' positions; gone vertices are skipped)."""
-    for u in order:
-        nu = adj.get(u)
-        if nu is None:
-            continue
-        best = None
-        for v in nu:
-            if v > u:
-                common = nu & adj[v]
-                if len(common) == 2:
-                    w, x = sorted(common)
-                    quad = (u, v, w, x)
-                    if v < w and (best is None or quad < best) and all(
-                            b in adj[a] and adj[a] & adj[b] == set(quad) - {a, b}
-                            for a, b in combinations(quad, 2)):
+                            and all(b in adj[a] and count(nb[a] & nb[b]) == 2
+                                    for a, b in combinations(quad, 2))):
                         best = quad
         if best is not None:
             return best
@@ -488,7 +459,8 @@ def find_splittable(
     The driver passes ``after`` = the vertex it just split: no vertex below
     it can have become splittable (see the module docstring).  The scan
     walks the masks' positions from ``after``'s place on.  Where the masks
-    do not fit, :func:`_splittable_on_sets` searches."""
+    do not fit, :func:`_splittable_on_sets` searches: unlike R2 and R3, R4
+    keeps a body per format, as one body over both took twice as long."""
     masks = g.masks()
     of, ids = masks.of, masks.ids
     start = 0 if after is None else bisect_right(ids, after)

@@ -13,13 +13,24 @@ from trikernel.graph import Graph
 
 
 @contextmanager
+def _mask_limit(bits_per_entry: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_mod, "MASK_BITS_PER_ENTRY", bits_per_entry)
+        yield
+
+
 def masks_never_fit():
     """Within it, a graph's neighbour view is built without masks, as for a
     large sparse graph (``graph.MASK_BITS_PER_ENTRY``), so every finder
     answers on the adjacency sets."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_mod, "MASK_BITS_PER_ENTRY", 0)
-        yield
+    return _mask_limit(0)
+
+
+def masks_always_fit():
+    """Within it, a graph's neighbour view is built with masks and keeps
+    them through every split, however large and sparse the graph grows, so
+    every finder answers on the masks."""
+    return _mask_limit(10**9)
 
 
 def on_sets(g: Graph) -> Graph:

@@ -54,6 +54,7 @@ from conftest import (
     cycle_graph,
     disjoint_triangles,
     graphs,
+    masks_always_fit,
     masks_never_fit,
     reshaped,
     spanned_triangle,
@@ -62,6 +63,12 @@ from conftest import (
 VARIANTS = (Variant.ETP, Variant.ETC)
 # Runs that swap often: at k = n each makes 37 to 135 swaps (R6-R8).
 SWAP_HEAVY = [GenSpec("erdos_renyi", seed, n=200, p=0.05) for seed in range(4)]
+# Around the mask limit as shipped: the ER graph's run starts on masks, and
+# its splits (787 at k = 10**6) add positions until the view is rebuilt
+# without them; the other two are too large and sparse for masks at once.
+CROSSOVER = [GenSpec("erdos_renyi", 0, n=800, p=0.02),
+             GenSpec("splittable_mix", 0, count=200, noise=20),
+             GenSpec("planted_packing", 0, count=300, noise=100)]
 
 
 def apply_once(inst: Instance, rule: str, s: TrianglePacking | None = None):
@@ -848,6 +855,35 @@ class TestFrozenBehaviour:
         assert _in_fresh_thread(sweeps) == (
             "be5189c6755e76db067aeae18589ae3b6959a47f5ecac3fe06122a6619183d1b",
             "93a8e0c09f96052e570b1718ddec96a3e75271f8c02b6ccb7cb23d1cb81d0212")
+
+    def test_a_view_that_outgrows_its_masks_mid_run_changes_no_digest(
+            self, monkeypatch):
+        """With the mask limit as shipped, the views cross from masks to
+        sets on their own: the ER run's view is built with masks seven
+        times, then once without, and the other two graphs get none.  Each
+        sweep runs in a thread of its own and gives the digest it gives
+        with masks always and with masks never."""
+        import trikernel.graph as graph_mod
+        builds = []
+
+        class Counted(graph_mod.Masks):
+            __slots__ = ()
+
+            def __init__(self, adj, m):
+                super().__init__(adj, m)
+                builds.append(self.of is not None)
+
+        monkeypatch.setattr(graph_mod, "Masks", Counted)
+        graphs = [generate(spec) for spec in CROSSOVER]
+        order = [(i, k, variant) for i, g in enumerate(graphs)
+                 for k in sorted({1, g.n // 4, g.n // 2, g.n})
+                 for variant in VARIANTS]
+        shipped = _in_fresh_thread(lambda: _sweep_digest(graphs, order))
+        assert builds == [True] * 7 + [False] * 3
+        for forced in (masks_always_fit, masks_never_fit):
+            with forced():
+                assert _in_fresh_thread(
+                    lambda: _sweep_digest(graphs, order)) == shipped, forced
 
 
 def reference_augment_two(g: Graph, s: TrianglePacking):
