@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -105,9 +106,10 @@ class Masks:
         if not _masks_fit(len(ids), m, len(ids)):
             self.of = None
             return
-        bit = {v: 1 << i for v, i in pos.items()}
+        bit = dict(zip(ids, map((1).__lshift__, range(len(ids)))))
         # distinct powers of two: their sum is their union
-        self.of = {v: sum(map(bit.__getitem__, nbrs)) for v, nbrs in adj.items()}
+        self.of = dict(zip(adj, map(sum, map(map, repeat(bit.__getitem__),
+                                             adj.values()))))
 
     def members(self, mask: int) -> list[int]:
         """The ids of the bits of ``mask``, ascending."""
@@ -274,37 +276,49 @@ class Graph:
     def split(self, v: int, part1: Iterable[Edge], part2: Iterable[Edge]) -> tuple[int, int]:
         """Split ``v`` in place, attaching ``part1`` to a fresh vertex and
         ``part2`` to another.  The parts must partition the edges incident to
-        ``v`` and both be nonempty; returns the two minted ids.  Each
-        neighbour trades ``v`` for a fresh vertex, so ``m`` does not change.
+        ``v`` and both be nonempty, each edge written either way round;
+        returns the two minted ids.  Each neighbour trades ``v`` for a fresh
+        vertex, so ``m`` does not change.  The check is O(deg v): a part is
+        read as the far ends of its edges (``v`` itself, no neighbour, for
+        an edge that does not meet ``v`` once), and the second must hold
+        exactly the neighbours the first, all neighbours, leaves out.
         """
-        if v not in self.adj:
+        adj = self.adj
+        nbrs = adj.get(v)
+        if nbrs is None:
             raise GraphError(f"no vertex {v}")
-        e1 = {edge_key(*e) for e in part1}
-        e2 = {edge_key(*e) for e in part2}
-        if not e1 or not e2:
+        ends1 = {b if a == v else a if b == v else v for a, b in part1}
+        ends2 = {b if a == v else a if b == v else v for a, b in part2}
+        if not ends1 or not ends2:
             raise GraphError("both split parts must be nonempty")
-        if e1 & e2 or e1 | e2 != {edge_key(v, u) for u in self.adj[v]}:
+        if not ends1 <= nbrs or ends2 != nbrs - ends1:
             raise GraphError(f"split parts do not partition edges at {v}")
-        minted = self.add_vertex(), self.add_vertex()
-        masks = self._masks  # the minted ids exceed every id, so it is kept
-        of = None if masks is None else masks.of
-        for part, fresh in zip((e1, e2), minted):
-            moved = {b if a == v else a for a, b in part}
-            for u in moved:
-                self.adj[u].discard(v)
-                self.adj[u].add(fresh)
-            self.adj[fresh] = moved
-            if of is not None:
-                pos = masks.pos
-                swap = (1 << pos[v]) | (1 << pos[fresh])
-                for u in moved:
-                    of[u] ^= swap
-                of[fresh] = sum(map((1).__lshift__, map(pos.__getitem__, moved)))
-        del self.adj[v]
+        f1, f2 = minted = self.next_id, self.next_id + 1
+        self.next_id += 2
+        masks = self._masks  # the minted ids exceed every id, so it has room
         if masks is not None:
-            del masks.pos[v]
+            ids, pos, of = masks.ids, masks.pos, masks.of
+            if of is not None and not _masks_fit(len(adj) + 2, self._m, len(ids) + 2):
+                masks = self._masks = None  # too wide; built again, without gaps
+            else:
+                pos[f1], pos[f2] = len(ids), len(ids) + 1
+                ids += minted
+        for fresh, ends in ((f1, ends1), (f2, ends2)):
+            for u in ends:
+                nb = adj[u]
+                nb.remove(v)
+                nb.add(fresh)
+            adj[fresh] = ends
+        del adj[v]
+        if masks is not None:
+            bv = 1 << pos.pop(v)
             if of is not None:
-                del of[v]
+                part = sum(map((1).__lshift__, map(pos.__getitem__, ends1)))
+                of[f1], of[f2] = part, of.pop(v) ^ part
+                for fresh, ends in ((f1, ends1), (f2, ends2)):
+                    swap = bv | (1 << pos[fresh])
+                    for u in ends:
+                        of[u] ^= swap
         self.version += 1
         return minted
 

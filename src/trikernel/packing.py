@@ -52,8 +52,12 @@ class TrianglePacking:
         self.triangles.append(t)
 
     def remove(self, t: Triangle) -> None:
+        es = triangle_edges(t)
+        if (any(self.edge_index.get(e) != t for e in es)
+                or t not in self.triangles):
+            raise GraphError(f"triangle {t} is not packed")
         self.triangles.remove(t)
-        for e in triangle_edges(t):
+        for e in es:
             del self.edge_index[e]
 
     def vertex_set(self) -> set[int]:
@@ -83,7 +87,10 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     for every other ``w``.  A packed ``(u, v, w)`` leaves ``avail`` of
     ``v`` and ``w`` without each other; the bits of ``u`` it leaves, since
     only vertices above ``u`` are read from here on.  Extra memory is a
-    copy of the masks, at most the size of the adjacency sets.  A graph
+    copy of the masks, at most the size of the adjacency sets.  The walk
+    fills the triangle list and edge index as :meth:`TrianglePacking.add`
+    would, and checks disjointness once: three index entries per triangle.
+    A graph
     whose masks do not fit gets :func:`remaximalize`'s full pass instead,
     which tries every triangle in the same lexicographic order on the
     adjacency sets and so packs the same triangles; its extra memory is the
@@ -93,6 +100,7 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
     if masks.of is None:
         return remaximalize(g, TrianglePacking(), g.edges())
     s = TrianglePacking()
+    triangles, index = s.triangles, s.edge_index
     ids, pos = masks.ids, masks.pos
     avail = dict(masks.of)
     for u in ids:
@@ -108,10 +116,14 @@ def greedy_maximal_packing(g: Graph) -> TrianglePacking:
             if cand:
                 bw = cand & -cand
                 w = ids[bw.bit_length() - 1]
-                s.add((u, v, w))
+                t = (u, v, w)
+                triangles.append(t)
+                index[u, v] = index[u, w] = index[v, w] = t
                 free ^= bw
                 avail[v] ^= bw
                 avail[w] ^= bv
+    if len(index) != 3 * len(triangles):
+        raise GraphError("greedy packing put an edge in two triangles")
     return s
 
 
@@ -250,14 +262,12 @@ def triangle_components(s: TrianglePacking) -> ComponentIndex:
         for v in t[1:]:
             parent[find(v)] = a
 
-    groups: dict[int, list[int]] = {}
-    for v in sorted(parent):
-        groups.setdefault(find(v), []).append(v)
-    # Stable small ids, assigned by smallest member vertex.
+    # Stable small ids, in the order of each component's smallest member:
+    # the ascending walk meets a component first there.
+    cid_of: dict[int, int] = {}
     component_of: dict[int, int] = {}
     members: dict[int, list[int]] = {}
-    for cid, (_, verts) in enumerate(sorted((vs[0], vs) for vs in groups.values())):
-        members[cid] = verts
-        for v in verts:
-            component_of[v] = cid
+    for v in sorted(parent):
+        cid = component_of[v] = cid_of.setdefault(find(v), len(cid_of))
+        members.setdefault(cid, []).append(v)
     return ComponentIndex(component_of, members)

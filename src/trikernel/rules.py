@@ -19,7 +19,8 @@ and R3 rescan only after an R2, R3 or R9 event.  An R2 sweep deletes only
 material in no triangle, so it leaves nothing for a second sweep: after it
 the scan goes on with R3.  After a swap only the triangles through edges
 the swap freed can join the packing, and re-maximalization tries just
-those.
+those.  The packing is checked in full at its first swap, and after that
+only in the triangles each swap added (:func:`_fixpoint`).
 
 The structural scans and the greedy packing ask common-neighbour
 questions, and answer them on the working graph's neighbour masks
@@ -483,8 +484,8 @@ def find_splittable(
                 todo |= reached
         if rest:
             # v's edges in ascending order of the other end are sorted
-            part1 = [edge_key(v, u) for u in masks.members(nbrs ^ rest)]
-            part2 = [edge_key(v, u) for u in masks.members(rest)]
+            part1 = [(u, v) if u < v else (v, u) for u in masks.members(nbrs ^ rest)]
+            part2 = [(u, v) if u < v else (v, u) for u in masks.members(rest)]
             return v, part1, part2
     return None
 
@@ -507,8 +508,8 @@ def _splittable_on_sets(
             rest -= reached
             queue.extend(reached)
         if rest:
-            part1 = sorted(edge_key(v, u) for u in nbrs - rest)
-            part2 = sorted(edge_key(v, u) for u in rest)
+            part1 = [(u, v) if u < v else (v, u) for u in sorted(nbrs - rest)]
+            part2 = [(u, v) if u < v else (v, u) for u in sorted(rest)]
             return v, part1, part2
     return None
 
@@ -846,24 +847,20 @@ class _ScanState:
         self.spanners: dict[Edge, list[int]] | None = None
 
 
-def _after_swap(g: Graph, s: TrianglePacking, ev: RuleEvent,
-                state: _ScanState) -> None:
-    """Bring ``state``'s spanners up to date after the swap ``ev`` and the
-    re-maximalization that followed it.
+def _after_swap(g: Graph, s: TrianglePacking, removed: Sequence[Triangle],
+                added: Sequence[Triangle], state: _ScanState) -> None:
+    """Bring ``state``'s spanners up to date after a swap removed
+    ``removed`` and it and the re-maximalization that followed it added
+    ``added``.
 
-    The edges whose packed status can have changed are those of the
-    removed, added and re-maximalized triangles (the last two are the
-    triangles that now pack an edge the swap freed).  An entry reads the
-    status of its edge and of the two side edges at each common neighbour,
-    so it is recomputed for those edges and for every packed edge that
-    shares a triangle with one of them.
+    The edges whose packed status can have changed are those of these
+    triangles.  An entry reads the status of its edge and of the two side
+    edges at each common neighbour, so it is recomputed for those edges and
+    for every packed edge that shares a triangle with one of them.
     """
     adj, packed, spanners = g.adj, s.edge_index, state.spanners
     masks = g.masks()
-    removed = ev.packing_removed
-    new = set(ev.packing_added)
-    new.update(packed[e] for t in removed for e in triangle_edges(t) if e in packed)
-    moved = {e for t in (*removed, *new) for e in triangle_edges(t)}
+    moved = {e for t in (*removed, *added) for e in triangle_edges(t)}
     redo = {e for e in moved if e in packed or e in spanners}
     for a, b in moved:
         for w in adj[a] & adj[b]:
@@ -904,6 +901,11 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     ``k`` is fixed between graph events, so a lower or equal |S| cannot stop
     a run that the earlier high let through.  Edgeless means every ``k``
     stops.
+
+    Each packing is validated in full at its first swap.  A later swap
+    changes neither ``g`` nor the triangles S keeps, and ``add`` refuses a
+    packed edge, so it checks the triangles it and re-maximalization added
+    (:func:`graph.packs`) and that the index holds three edges per triangle.
     """
     offsets = dict.fromkeys(traces, 0)
     end = 0
@@ -912,6 +914,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
     high = -1           # the largest |S| since the last graph event
     recorded = None     # the packing the last R5 point holds
+    validated = False   # S has been checked in full since greedy built it
     retest = True       # m or k may have moved since the last R1 test
 
     while True:
@@ -933,6 +936,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
             if s is None:
                 s = greedy_maximal_packing(g)
                 high = -1
+                validated = False
             if len(s) > high:
                 high = len(s)
                 yield "R5", end, dict(offsets), (high, s)
@@ -947,18 +951,25 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 yield None, end, dict(offsets), (g, s)
                 return
 
-        if ev.rule in SWAP_RULES and s is recorded:
-            s = s.copy()  # the recorded packing must not change
-        covered = len(s.vertex_set()) if ev.rule == "R8" else 0
-        apply_event(g, ev, s)
         if ev.rule in SWAP_RULES:
+            if s is recorded:
+                s = s.copy()  # the recorded packing must not change
+            covered = len(s.vertex_set()) if ev.rule == "R8" else 0
+            kept = len(s) - len(ev.packing_removed)  # the swap appends after these
+            apply_event(g, ev, s)
             remaximalize(g, s, [e for t in ev.packing_removed
                                 for e in triangle_edges(t)])
-            s.validate(g)
+            added = s.triangles[kept:]
+            if not validated:
+                s.validate(g)
+                validated = True
+            elif not packs(g, added) or len(s.edge_index) != 3 * len(s):
+                raise GraphError("packed triangles leave the graph or share an edge")
             if ev.rule == "R8" and len(s.vertex_set()) <= covered:
                 raise GraphError("packing vertex count did not grow")
-            _after_swap(g, s, ev, state)
+            _after_swap(g, s, ev.packing_removed, added, state)
         else:
+            apply_event(g, ev, s)
             s = state.spanners = None
             retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)

@@ -269,6 +269,43 @@ class TestSplitVertex:
         with pytest.raises(GraphError):
             split_copy(g, 0, [(0, 1)], [])
 
+    # K4 on 0-3 plus the edge (4, 5); vertex 2 has the neighbours 0, 1, 3
+    @pytest.mark.parametrize("part1, part2", [
+        ([(2, 0), (0, 1)], [(1, 2), (2, 3)]),          # an edge without 2
+        ([(0, 2), (2, 4)], [(1, 2), (2, 3)]),          # a non-neighbour
+        ([(0, 2), (2, 2)], [(1, 2), (2, 3)]),          # a self-loop
+        ([(0, 2), (1, 2)], [(2, 1), (2, 3)]),          # an edge in both parts
+        ([(0, 2)], [(2, 3)]),                          # an edge in neither
+        ([], [(0, 2), (1, 2), (2, 3)]),                # an empty part
+        ([(0, 2), (1, 2), (2, 3)], []),
+    ], ids=["without-v", "non-neighbour", "self-loop", "both", "neither",
+            "empty-first", "empty-second"])
+    @pytest.mark.parametrize("view", ["masks", "none"])
+    def test_refused_parts_change_nothing(self, part1, part2, view):
+        g = complete_graph(4)
+        g.add_edge(4, 5)
+        if view == "masks":
+            g.masks()
+        masks = g._masks
+        before = (dict(g.adj), [set(nbrs) for nbrs in g.adj.values()], g.m,
+                  g.version, g.next_id)
+        shape = None if masks is None else (
+            list(masks.ids), dict(masks.pos), dict(masks.of))
+        with pytest.raises(GraphError):
+            g.split(2, part1, part2)
+        assert (dict(g.adj), [set(nbrs) for nbrs in g.adj.values()], g.m,
+                g.version, g.next_id) == before
+        assert g._masks is masks
+        if masks is not None:
+            assert (masks.ids, masks.pos, masks.of) == shape
+
+    def test_parts_may_write_an_edge_either_way_round(self):
+        g = complete_graph(4)
+        g.masks()
+        v1, v2 = g.split(2, [(2, 0), (1, 2)], [(3, 2)])
+        assert g.adj[v1] == {0, 1} and g.adj[v2] == {3} and g.m == 6
+        assert_masks_follow_adj(g)
+
     def test_absent_vertex_is_contract_violation(self):
         g = complete_graph(3)
         with pytest.raises(GraphError, match="no vertex 9"):

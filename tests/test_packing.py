@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trikernel.graph import Graph, covers, enumerate_triangles, triangle_edges
+from trikernel.graph import Graph, GraphError, covers, enumerate_triangles, triangle_edges
 from trikernel.packing import (
     TrianglePacking,
     classify_triangles,
@@ -15,6 +16,7 @@ from conftest import (
     complete_graph,
     disjoint_triangles,
     graphs,
+    masks_never_fit,
     on_sets,
     reshaped,
     spanned_triangle,
@@ -75,6 +77,55 @@ class TestGreedyPacking:
             packed = set(s.edge_index)
             for t in enumerate_triangles(g):
                 assert any(e in packed for e in triangle_edges(t))
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=80, deadline=None)
+    def test_index_is_the_one_add_builds(self, g):
+        """The walk writes the edge index itself; it must be the index
+        ``add`` builds from the same triangles, in the same order, with
+        masks and without."""
+        with masks_never_fit():
+            unmasked = greedy_maximal_packing(g.copy())
+        for s in (greedy_maximal_packing(g.copy()), unmasked):
+            added = TrianglePacking()
+            for t in s.triangles:
+                added.add(t)
+            assert list(s.edge_index.items()) == list(added.edge_index.items())
+
+
+class TestRemove:
+    """``remove`` refuses a triangle it cannot remove in full, as ``add``
+    refuses one it cannot add, and leaves S as it was."""
+
+    @staticmethod
+    def _packing() -> TrianglePacking:
+        s = TrianglePacking()
+        s.add((0, 1, 2))
+        s.add((2, 3, 4))
+        return s
+
+    def test_a_triangle_not_packed(self):
+        s = self._packing()
+        with pytest.raises(GraphError, match=r"\(0, 1, 3\)"):
+            s.remove((0, 1, 3))
+        assert s.triangles == self._packing().triangles
+        assert s.edge_index == self._packing().edge_index
+
+    def test_a_listed_triangle_missing_from_the_index(self):
+        s = self._packing()
+        del s.edge_index[(3, 4)]
+        index = dict(s.edge_index)
+        with pytest.raises(GraphError, match=r"\(2, 3, 4\)"):
+            s.remove((2, 3, 4))
+        assert s.triangles == [(0, 1, 2), (2, 3, 4)] and s.edge_index == index
+
+    def test_an_indexed_triangle_missing_from_the_list(self):
+        s = self._packing()
+        s.triangles.remove((0, 1, 2))
+        index = dict(s.edge_index)
+        with pytest.raises(GraphError, match=r"\(0, 1, 2\)"):
+            s.remove((0, 1, 2))
+        assert s.triangles == [(2, 3, 4)] and s.edge_index == index
 
 
 class TestRemaximalize:

@@ -992,6 +992,39 @@ class TestResumedSwapPhase:
         assert swaps >= 20
         assert calls["_strict_spanners"] == calls["greedy_maximal_packing"] < swaps
 
+    @pytest.mark.parametrize("bad", ["outside", "shared-edge"])
+    def test_a_bad_later_swap_is_refused(self, monkeypatch, bad):
+        """A packing is checked in full at its first swap, and each later
+        swap only where it changed S; an R6 finder that swaps correctly
+        once and then breaks S, in the same graph state, is still caught."""
+        import trikernel.rules as rules_mod
+        real = rules_mod.find_augment_one
+        calls = []
+
+        def augment_one(g, s, spanners=None):
+            if not calls:  # until the first swap
+                found = real(g, s, spanners)
+                if found is not None:
+                    calls.append("real")
+                return found
+            # the next call: a swap leaves the graph as it was
+            calls.append("bad")
+            t = s.sorted_triangles()[0]
+            if bad == "outside":
+                return t, [(9990, 9991, 9992)]
+            for t2 in s.sorted_triangles()[1:]:
+                for a, b in triangle_edges(t2):
+                    for w in sorted(g.adj[a] & g.adj[b]):
+                        if w not in t2:
+                            return t, [tuple(sorted((a, b, w)))]
+            raise AssertionError("no triangle through a packed edge")
+
+        monkeypatch.setattr(rules_mod, "find_augment_one", augment_one)
+        match = "leave the graph" if bad == "outside" else "already packed"
+        with pytest.raises(GraphError, match=match):
+            kernelize(Instance(generate(SWAP_HEAVY[0]), 10**6, Variant.ETP))
+        assert calls == ["real", "bad"]
+
     def test_r7_searches_fewer_pairs_than_it_walks(self, monkeypatch):
         """R7 searches a pair for a witness triple only when its free cross
         edges and spanner entries can make one, so its searches stay below
