@@ -433,13 +433,13 @@ def load_graph(text: str, fmt: str = "edgelist") -> Graph:
 _ISOLATED = "# isolated:"
 
 
-def _parse_int(token: str, lineno: int) -> int:
+def _parse_int(token: str, lineno: int, what: str = "vertex id") -> int:
     try:
         value = int(token)
     except ValueError:
         raise ParseError(f"expected integer, got {token!r}", lineno) from None
     if value < 0:
-        raise ParseError(f"negative vertex id {value}", lineno)
+        raise ParseError(f"negative {what} {value}", lineno)
     return value
 
 
@@ -482,7 +482,8 @@ def _load_dimacs(text: str) -> Graph:
                 raise ParseError("duplicate problem line", lineno)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"expected 'p edge n m', got {raw.strip()!r}", lineno)
-            declared = _parse_int(tokens[2], lineno)
+            declared = _parse_int(tokens[2], lineno, "vertex count")
+            _parse_int(tokens[3], lineno, "edge count")
             if declared > MAX_DIMACS_VERTICES:
                 raise ParseError(f"header declares {declared} vertices, more than "
                                  f"the {MAX_DIMACS_VERTICES} this reader accepts",

@@ -11,7 +11,11 @@ on an explicit stack, so no input can exhaust the recursion limit:
 * covering is 3-Hitting Set branching that partitions the covers: delete
   one allowed edge of the live triangle with the fewest, forbidding the
   edges tried before it, and bound each node below by live triangles whose
-  allowed edges are pairwise disjoint.
+  allowed edges are pairwise disjoint, counted again from a kept packing's
+  live triangles where that count falls one short.  Its nodes hold
+  triangle bitsets.
+
+Both count the nodes they expand in ``OracleResult.nodes``.
 
 They exist to ground-truth the reduction rules, so they refuse (rather than
 approximate) an instance over their size budget: one with more than
@@ -34,9 +38,12 @@ a mask and leaves the order of the others alone, so two graphs with one
 list get the same search.  A call first compares ``adj`` with the kept
 copy; if that differs, it lists the triangles and compares them with the
 kept list, and a match moves the memo onto a copy of the caller's graph;
-a search on another list replaces the memo.  A call is answered from it
-only when a cold call would return exactly the same optimum, witness and
-``exact`` flag:
+a search on another list replaces the memo.  A list that renames the kept
+one -- a vertex map takes its triangles one-to-one onto the kept list, with
+as many distinct edges, as Rule 4 splits do -- has the kept list's optima,
+so its fresh memo starts from the kept bounds below.  A call is answered
+from the memo only when a cold call would return exactly the same optimum,
+witness and ``exact`` flag:
 
 * packing: an exact optimum ``p`` answers ``limit=None`` and every
   ``limit >= p``;
@@ -52,17 +59,19 @@ caller's graph and its triangle count), re-checks the witness against the
 caller's graph and hands out a fresh list.  The memo is read inside each
 solver, not by a wrapper, so no search runs a frame deeper.
 
-Each problem's kept result bounds the other's search, since a packing's
-triangles need distinct cover edges (``nu <= tau``):
+The kept results bound both searches, since a packing's triangles need
+distinct cover edges (``nu <= tau``):
 
-* covering takes ``L``, the size of the kept packing (exact or not: it was
-  found and checked).  With ``limit + 1 < L`` it answers ``(limit + 1,
-  None, False)`` unsearched; a greedy cover of ``L`` edges is not searched
-  past, and the search stops at the first cover of ``L`` edges;
-* packing takes ``U``, the kept exact cover optimum (an inexact one is no
-  upper bound).  A greedy packing of ``U`` triangles is not searched past,
-  and the search stops at the first packing of ``U`` after the ``limit``
-  test.
+* covering takes ``L``, the largest lower bound on ``tau`` kept: the size
+  of a kept packing (exact or not: it was found and checked), a kept cover
+  optimum, or the ``limit + 1`` an inexact cover search reported, and
+  those of a renamed list.  With ``limit + 1 < L`` it answers ``(limit +
+  1, None, False)`` unsearched; a greedy cover of ``L`` edges is not
+  searched past, and the search stops at the first cover of ``L`` edges;
+* packing takes ``U``, the least exact optimum kept of either problem, its
+  own one from a renamed list included (an inexact one is no upper bound).
+  A greedy packing of ``U`` triangles is not searched past, and the search
+  stops at the first packing of ``U`` after the ``limit`` test.
 
 A cold search keeps the first incumbent of each size it reaches in DFS
 order and only a larger packing (a smaller cover) replaces it.  None exists
@@ -73,7 +82,7 @@ search's witness.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .graph import (
@@ -106,13 +115,18 @@ def _check_budget(g: Graph, triangles: int, budget: bool) -> None:
 
 @dataclass
 class OracleResult:
+    """A solve's answer; ``nodes`` counts the search nodes it expanded (0
+    when no search ran) and takes no part in equality."""
+
     optimum: int
     witness: list | None
     exact: bool = True
+    nodes: int = field(default=0, compare=False)
 
 
 def _edge_bits(g: Graph) -> dict[Edge, int]:
-    return {e: 1 << i for i, e in enumerate(g.edges())}
+    """Each edge's bit position: its place in sorted order."""
+    return {e: i for i, e in enumerate(g.edges())}
 
 
 class _Kept(NamedTuple):
@@ -126,15 +140,19 @@ class _Memo:
     """This thread's last triangle list and both solvers' results on it
     (module docstring): ``graph`` is a private copy of the last graph
     served (``None`` until a result is kept) and ``etp`` and ``etc`` each
-    hold a :class:`_Kept` or ``None``.  The search never reads ``budget``,
-    so a result found without the budget serves calls with it."""
+    hold a :class:`_Kept` or ``None``.  ``lower`` (on the cover optimum)
+    and ``upper`` (on the packing optimum, or ``None``) are the bounds a
+    list this one renames left.  The search never reads ``budget``, so a
+    result found without the budget serves calls with it."""
 
-    __slots__ = ("graph", "triangles", "etp", "etc")
+    __slots__ = ("graph", "triangles", "etp", "etc", "lower", "upper")
 
-    def __init__(self, graph: Graph | None, triangles: list[Triangle]) -> None:
+    def __init__(self, graph: Graph | None, triangles: list[Triangle],
+                 lower: int = 0, upper: int | None = None) -> None:
         self.graph = graph
         self.triangles = triangles
         self.etp = self.etc = None
+        self.lower, self.upper = lower, upper
 
 
 _thread = threading.local()  # .memo: this thread's _Memo
@@ -144,7 +162,9 @@ def _recall(g: Graph) -> _Memo:
     """This thread's memo if it was made on ``g``'s triangle list, else a
     fresh one on that list, kept only once a result is.  Equal adjacency
     needs no listing; a match on the listed triangles moves the memo onto
-    a copy of ``g``, so the next call on ``g`` matches on adjacency."""
+    a copy of ``g``, so the next call on ``g`` matches on adjacency.  A
+    fresh memo on a list that renames the kept one starts from the kept
+    memo's bounds."""
     memo = getattr(_thread, "memo", None)
     if memo is not None:
         h = memo.graph
@@ -154,7 +174,82 @@ def _recall(g: Graph) -> _Memo:
     if memo is not None and memo.triangles == triangles:
         memo.graph = g.copy()
         return memo
+    if memo is not None and _renames(triangles, memo.triangles, memo.graph.adj):
+        return _Memo(None, triangles, *_bounds(memo))
     return _Memo(None, triangles)
+
+
+def _renames(triangles: list[Triangle], kept: list[Triangle],
+             kept_adj: dict[int, set[int]]) -> bool:
+    """Whether a vertex map takes ``triangles`` one-to-one onto ``kept``
+    with as many distinct edges, as Rule 4 splits do.  Then it maps the
+    edges one-to-one too, and each edge lies in a triangle exactly when its
+    image lies in the image, so both lists have the same packings and
+    covers up to the map, and the same optima.
+
+    A vertex of both lists maps to itself; any other, in ascending order,
+    to the first kept vertex missing from ``triangles`` that is adjacent in
+    the kept graph to the images of its triangle neighbours mapped so far
+    and that maps each triangle it completes onto a kept triangle no other
+    triangle took.  Each triangle takes one when its last vertex is
+    mapped, so success is the proof; a miss just costs a cold search."""
+    if len(triangles) != len(kept):
+        return False
+    at: dict[int, list[Triangle]] = {}
+    for t in triangles:
+        for v in t:
+            at.setdefault(v, []).append(t)
+    old = {v for t in kept for v in t}
+    image = {v: v for v in at if v in old}
+    free = set(kept)  # the kept triangles no triangle has taken
+    for t in triangles:
+        if t[0] in image and t[1] in image and t[2] in image:
+            if t not in free:
+                return False
+            free.remove(t)
+    vanished = sorted(old - image.keys())
+    for v in sorted(at.keys() - old):
+        for w in vanished:
+            near, taken = kept_adj[w], []
+            for t in at[v]:
+                others = [image.get(u) for u in t if u != v]
+                if None in others:
+                    if not all(x is None or x in near for x in others):
+                        break
+                    continue
+                a, b = others
+                img = tuple(sorted((a, b, w)))
+                if img not in free or img in taken:
+                    break
+                taken.append(img)
+            else:
+                image[v] = w
+                free.difference_update(taken)
+                break
+        else:
+            return False
+    return _edge_count(triangles) == _edge_count(kept)
+
+
+def _edge_count(triangles: list[Triangle]) -> int:
+    return len({e for t in triangles for e in triangle_edges(t)})
+
+
+def _bounds(memo: _Memo) -> tuple[int, int | None]:
+    """A lower bound on the cover optimum of ``memo``'s list and an upper
+    bound on its packing optimum (``None`` if none is known), from its
+    kept results and inherited bounds; ``nu <= tau`` lets each optimum
+    bound the other problem."""
+    lower, upper = memo.lower, memo.upper
+    for kept in (memo.etp, memo.etc):
+        if kept is None:
+            continue
+        # a packing found, a cover optimum, or the ``limit + 1`` that an
+        # inexact cover search proved: each is at most tau
+        lower = max(lower, kept.optimum)
+        if kept.exact and (upper is None or kept.optimum < upper):
+            upper = kept.optimum
+    return lower, upper
 
 
 def _keep(memo: _Memo, solver: str, g: Graph, limit: int | None,
@@ -183,10 +278,10 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     triangle uses two edges at each corner).  A bound only cuts subtrees that
     cannot beat the incumbent, so it changes neither the incumbents nor the
     witness.  The nodes wait on an explicit stack.  The memo may answer
-    instead, and a kept cover optimum may end the search (module docstring).
+    instead, and a kept optimum may end the search (module docstring).
     """
     memo = _recall(g)
-    triangles, kept, cover = memo.triangles, memo.etp, memo.etc
+    triangles, kept = memo.triangles, memo.etp
     _check_budget(g, len(triangles), budget)
     if kept is not None and kept.exact and (limit is None or limit >= kept.optimum):
         witness = list(kept.witness)
@@ -195,16 +290,15 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
         return OracleResult(kept.optimum, witness, True)
     if not triangles:
         return OracleResult(0, [])
-    # An exact cover optimum of the same triangles bounds every packing.
-    upper = cover.optimum if cover is not None and cover.exact else None
+    upper = _bounds(memo)[1]
 
-    bit = _edge_bits(g)
-    masks = [bit[e1] | bit[e2] | bit[e3]
+    pos = _edge_bits(g)
+    masks = [1 << pos[e1] | 1 << pos[e2] | 1 << pos[e3]
              for e1, e2, e3 in map(triangle_edges, triangles)]
     star: dict[int, int] = {}
-    for (u, v), b in bit.items():
-        star[u] = star.get(u, 0) | b
-        star[v] = star.get(v, 0) | b
+    for (u, v), i in pos.items():
+        star[u] = star.get(u, 0) | 1 << i
+        star[v] = star.get(v, 0) | 1 << i
     stars = [s for s in star.values() if s & (s - 1)]  # one edge adds 0
 
     # Greedy incumbent: the lexicographic maximal packing.
@@ -216,6 +310,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
             used |= m
     best, best_set, exact = len(incumbent), tuple(incumbent), True
 
+    nodes = 0
     if limit is not None and best > limit:
         exact = False
     elif best != upper:
@@ -223,6 +318,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
         stack: list[tuple[list[int], int, tuple[int, ...]]] = [(masks, 0, ())]
         while stack:
             cand, depth, chosen = stack.pop()
+            nodes += 1
             if depth > best:
                 best, best_set = depth, chosen
                 if limit is not None and depth > limit:
@@ -250,7 +346,7 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     if len(witness) != best or not packs(g, witness):
         raise GraphError(f"packing witness {witness} is not {best} "
                          "edge-disjoint triangles")
-    res = OracleResult(best, witness, exact)
+    res = OracleResult(best, witness, exact, nodes)
     _keep(memo, "etp", g, limit, res)
     return res
 
@@ -268,12 +364,21 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     of how many live triangles each hits.  A live triangle with no allowed
     edge closes the node; otherwise the node is bounded below by a greedy
     count of live triangles whose allowed edges are pairwise disjoint (each
-    needs its own deleted edge), taken fewest allowed edges first.  The
-    nodes wait on an explicit stack.  The memo may answer instead, and a
-    kept packing may end the search (module docstring).
+    needs its own deleted edge), taken fewest allowed edges first.  When
+    that count falls one short of closing the node and a packing of these
+    triangles is kept, the count is taken again from the packing's live
+    triangles, which are edge-disjoint.  The nodes wait on an explicit
+    stack.
+
+    A node's sets are bitsets over the triangle list: ``hit[j]`` holds the
+    triangles through edge ``j``, so a child's live triangles are ``live &
+    ~hit[j]``, and three bit-sliced counters hold the triangles with at
+    least one, two and three forbidden edges, which forbidding an edge
+    updates in O(1).  The memo may answer instead, and a kept packing may
+    end the search (module docstring).
     """
     memo = _recall(g)
-    triangles, kept, packing = memo.triangles, memo.etc, memo.etp
+    triangles, kept = memo.triangles, memo.etc
     _check_budget(g, len(triangles), budget)
     if kept is not None and (kept.exact or limit is not None and limit <= kept.limit):
         if not kept.exact or limit is not None and limit < kept.optimum - 1:
@@ -284,104 +389,133 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         return OracleResult(kept.optimum, witness, True)
     if not triangles:
         return OracleResult(0, [])
-    # A packing of the same triangles bounds every cover below.
-    lower = 0 if packing is None else packing.optimum
+    lower = _bounds(memo)[0]
     if limit is not None and lower > limit + 1:
         res = OracleResult(limit + 1, None, False)
         _keep(memo, "etc", g, limit, res)
         return res
 
-    bit = _edge_bits(g)
-    edge_of_bit = {b: e for e, b in bit.items()}
-    masks = [bit[e1] | bit[e2] | bit[e3]
-             for e1, e2, e3 in map(triangle_edges, triangles)]
+    pos = _edge_bits(g)
+    corners = [(pos[e1], pos[e2], pos[e3])
+               for e1, e2, e3 in map(triangle_edges, triangles)]
+    hit = [0] * len(pos)
+    for i, (a, b, c) in enumerate(corners):
+        t = 1 << i
+        hit[a] |= t
+        hit[b] |= t
+        hit[c] |= t
+    near = [hit[a] | hit[b] | hit[c] for a, b, c in corners]
+    packed = 0
+    if memo.etp is not None:
+        index = {t: i for i, t in enumerate(triangles)}
+        for t in memo.etp.witness:
+            packed |= 1 << index[t]
 
-    greedy = _greedy_cover(masks)
+    greedy = _greedy_cover(hit, corners)
     # ``cap`` is exclusive: only covers smaller than it are searched.  With
     # a limit and a greedy cover above ``limit + 1``, covers up to
     # ``limit + 1`` are searched and no witness is held until one is found.
     best: int | None
     if limit is None or len(greedy) <= limit + 1:
-        cap, best = len(greedy), sum(greedy)  # distinct edge bits
+        cap, best = len(greedy), sum(1 << j for j in greedy)
     else:
         cap, best = limit + 2, None
 
-    # A node: (parent's live masks, edge it deletes, deleted, count,
-    # forbidden); the live list is filtered when the node is popped.  A
-    # cover of ``lower`` edges is optimal, so none is searched past.
-    stack = [(masks, 0, 0, 0, 0)] if cap > lower else []
+    # A node: (live, deleted, count, forbidden, and the live-or-not
+    # triangles with at least one, two and three forbidden edges).  A cover
+    # of ``lower`` edges is optimal, so none is searched past.
+    full = (1 << len(triangles)) - 1
+    stack = [(full, 0, 0, 0, 0, 0, 0)] if cap > lower else []
+    nodes = 0
     while stack:
-        parent_live, edge, deleted, count, forbidden = stack.pop()
+        live, deleted, count, forbidden, one, two, three = stack.pop()
         if count >= cap:
             continue
-        live = [m for m in parent_live if not m & edge]
+        nodes += 1
         if not live:
             cap, best = count, deleted
             if count == lower:
                 break
             continue
-        allows = sorted((m & ~forbidden for m in live), key=int.bit_count)
-        pick = allows[0]
-        if not pick:
+        if live & three:
             continue
-        blocked = bound = 0
-        for allowed in allows:
-            if not allowed & blocked:
-                blocked |= allowed
-                bound += 1
-        if count + bound >= cap:
+        # Fewest allowed edges first, then triangle order: the pick is the
+        # first triangle the bound counts.
+        classes = (live & two, live & one & ~two, live & ~one)
+        first = classes[0] or classes[1] or classes[2]
+        i = (first & -first).bit_length() - 1
+        room = cap - count
+        bound, blocked, seeded = 0, 0, False
+        while True:
+            for cls in classes:
+                cls &= ~blocked
+                while cls and bound < room:
+                    j = (cls & -cls).bit_length() - 1
+                    bound += 1
+                    if one >> j & 1:
+                        for e in corners[j]:
+                            if not forbidden >> e & 1:
+                                blocked |= hit[e]
+                    else:
+                        blocked |= near[j]
+                    cls &= ~blocked
+            if bound != room - 1 or seeded or not live & packed:
+                break
+            # One short: count again from the kept packing's live triangles.
+            seeded, rest = True, live & packed
+            bound, blocked = rest.bit_count(), 0
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                for e in corners[j]:
+                    if not forbidden >> e & 1:
+                        blocked |= hit[e]
+        if bound >= room:
             continue
-        branch = []
-        while pick:
-            b = pick & -pick
-            pick ^= b
-            branch.append(b)
-        branch.sort(key=lambda b: -sum(1 for m in live if m & b))
+        branch = sorted((-(hit[e] & live).bit_count(), e) for e in corners[i]
+                        if not forbidden >> e & 1)
         children = []
-        for b in branch:
-            children.append((live, b, deleted | b, count + 1, forbidden))
-            forbidden |= b
+        for _, e in branch:
+            h = hit[e]
+            children.append((live & ~h, deleted | 1 << e, count + 1, forbidden,
+                             one, two, three))
+            forbidden |= 1 << e
+            three |= two & h
+            two |= one & h
+            one |= h
         stack.extend(reversed(children))
 
     if best is None:
         # Nothing of size <= limit + 1 exists; only a lower bound is known.
-        res = OracleResult(cap - 1, None, False)
+        res = OracleResult(cap - 1, None, False, nodes)
     else:
-        witness = sorted(edge_of_bit[1 << i] for i in range(len(bit))
-                         if best >> i & 1)
+        edges = list(pos)
+        witness = [edges[j] for j in range(len(edges)) if best >> j & 1]
         if len(witness) != cap or not covers(g, set(witness)):
             raise GraphError(f"cover witness {witness} is not {cap} edges "
                              "meeting every triangle")
-        res = OracleResult(cap, witness, True)
+        res = OracleResult(cap, witness, True, nodes)
     _keep(memo, "etc", g, limit, res)
     return res
 
 
-def _greedy_cover(masks: list[int]) -> list[int]:
-    """Deterministic greedy hitting set over edge bits: the smallest bit of
-    those that hit the most live triangles, until none is live."""
-    counts: dict[int, int] = {}
-    for m in masks:
-        while m:
-            b = m & -m
-            m ^= b
-            counts[b] = counts.get(b, 0) + 1
+def _greedy_cover(hit: list[int], corners: list[tuple[int, int, int]]) -> list[int]:
+    """Deterministic greedy hitting set over edge positions: the smallest
+    of those that hit the most live triangles, until none is live."""
+    counts = [h.bit_count() for h in hit]
+    live = (1 << len(corners)) - 1
     chosen: list[int] = []
-    live = masks
     while live:
-        top = max(counts.values())
-        pick = min(b for b, c in counts.items() if c == top)
+        pick = counts.index(max(counts))
         chosen.append(pick)
-        rest = []
-        for m in live:
-            if not m & pick:
-                rest.append(m)
-                continue
-            while m:
-                b = m & -m
-                m ^= b
-                counts[b] -= 1
-        live = rest
+        gone = hit[pick] & live
+        live ^= gone
+        while gone:
+            a, b, c = corners[(gone & -gone).bit_length() - 1]
+            gone &= gone - 1
+            counts[a] -= 1
+            counts[b] -= 1
+            counts[c] -= 1
     return chosen
 
 

@@ -563,14 +563,22 @@ def find_augment_one(
     Any candidate triangle in that spanned subgraph uses exactly one edge of
     ``t`` (all three would be ``t`` itself, and two is impossible), and two
     candidates over different edges of ``t`` are edge-disjoint exactly when
-    their spanning vertices differ.
+    their spanning vertices differ.  So only triangles with two or more
+    spanner entries are walked, in lexicographic order.
     """
     if spanners is None:
         spanners = _strict_spanners(g, s)
-    for t in s.sorted_triangles():
+    packed = s.edge_index
+    seen: set[Triangle] = set()
+    flagged: set[Triangle] = set()
+    for e in spanners:
+        t = packed[e]
+        if t in seen:
+            flagged.add(t)
+        else:
+            seen.add(t)
+    for t in sorted(flagged):
         es = [e for e in triangle_edges(t) if e in spanners]
-        if len(es) < 2:
-            continue
         for e1, e2 in combinations(es, 2):
             for w1 in spanners[e1]:
                 for w2 in spanners[e2]:

@@ -91,6 +91,12 @@ class TestLoadGraph:
         g = load_graph(f"p edge {MAX_DIMACS_VERTICES} 0", fmt="dimacs")
         assert g.n == MAX_DIMACS_VERTICES
 
+    def test_dimacs_header_edge_count_must_be_a_count(self):
+        for count in ("banana", "-7"):
+            with pytest.raises(ParseError) as err:
+                load_graph(f"c\np edge 3 {count}\ne 1 2", fmt="dimacs")
+            assert err.value.line == 2
+
     def test_dimacs_needs_header(self):
         with pytest.raises(ParseError):
             load_graph("e 1 2", fmt="dimacs")

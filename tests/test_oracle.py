@@ -19,7 +19,7 @@ from trikernel.oracle import (
     solve_etc_exact,
     solve_etp_exact,
 )
-from trikernel.rules import kernelize
+from trikernel.rules import find_splittable, kernelize
 
 from conftest import complete_graph, disjoint_triangles, graphs, petersen_graph
 
@@ -280,6 +280,15 @@ def with_pendant_path(g: Graph, length: int) -> Graph:
     return twin
 
 
+def split_twin(g: Graph) -> Graph:
+    """``g`` with each vertex ``find_splittable`` reports split, until none
+    is left: a triangle list that renames ``g``'s, on other vertex ids."""
+    twin = g.copy()
+    while (found := find_splittable(twin)) is not None:
+        twin.split(*found)
+    return twin
+
+
 class TestMemo:
     """The per-thread memo of the last triangle list and both solvers'
     results on it answers a call only with what a cold search of the same
@@ -454,28 +463,20 @@ class TestMemo:
         assert result["checked"] == 30 and not result["mismatches"]
         assert len(listed) == 2 and len(searched) <= 4
 
-    def test_a_kept_packing_ends_the_cover_search_at_its_size(self, monkeypatch):
+    def test_a_kept_packing_ends_the_cover_search_at_its_size(self):
         """Here nu = tau, and the greedy cover is larger, so the cover
         search runs.  With the packing kept, it stops at its first cover of
         nu edges: it expands fewer nodes than a cold search and returns the
-        same cover.  Nodes are counted through the module's ``sorted``,
-        which the search calls once per node it expands."""
+        same cover.  Nodes are read from ``OracleResult.nodes``."""
         g = generate(GenSpec("erdos_renyi", 11, n=11, p=0.5))
-        expanded = []
-
-        def counting(*args, **kwargs):
-            expanded.append(1)
-            return sorted(*args, **kwargs)
 
         def cover_search(pack_first: bool):
             def run():
                 nu = solve_etp_exact(g, budget=False).optimum if pack_first else None
-                expanded.clear()
                 res = solve_etc_exact(g, budget=False)
-                return nu, len(expanded), (res.optimum, res.witness, res.exact)
+                return nu, res.nodes, (res.optimum, res.witness, res.exact)
             return _in_fresh_thread(run)
 
-        monkeypatch.setattr(oracle_mod, "sorted", counting, raising=False)
         _, cold_nodes, cold = cover_search(False)
         nu, warm_nodes, warm = cover_search(True)
         assert warm == cold and cold[0] == nu
@@ -572,3 +573,106 @@ class TestMemo:
 
         assert _in_fresh_thread(stream) == (
             "b6a988504d04e24d7ff3c3dc55ad925e743873a9a68d80d1b06bfac1eb1dbc4e")
+
+
+def _etp_then_etc(g: Graph) -> None:
+    solve_etp_exact(g, budget=False)
+    solve_etc_exact(g, budget=False)
+
+
+class TestRenamedLists:
+    """A triangle list that renames the kept one (Rule 4 splits) is searched
+    with the kept optima as bounds; each answer is still a cold call's."""
+
+    def test_a_split_twin_answers_as_a_cold_call_with_fewer_nodes(self):
+        graphs = [generate(GenSpec("erdos_renyi", seed, n=n, p=p))
+                  for seed, n, p in ((0, 12, 0.4), (4, 12, 0.4), (4, 12, 0.5),
+                                     (1, 12, 0.5), (2, 10, 0.5), (6, 12, 0.5))]
+        nodes = {(solver, side): 0 for solver in SOLVERS for side in ("cold", "warm")}
+        for i, g in enumerate(graphs):
+            twin = split_twin(g)
+            assert enumerate_triangles(twin) != enumerate_triangles(g)
+            for solver in SOLVERS:
+                for limit in [None, *range(-1, twin.n + 2)]:
+                    cold = _in_fresh_thread(partial(_answer, solver, twin, limit))
+
+                    def warm():
+                        _etp_then_etc(g)
+                        return _answer(solver, twin, limit)
+
+                    assert _in_fresh_thread(warm) == cold, (i, solver, limit)
+
+                def search(warm: bool):
+                    if warm:
+                        _etp_then_etc(g)
+                    return SOLVERS[solver](twin, budget=False).nodes
+
+                cold_nodes = _in_fresh_thread(partial(search, False))
+                warm_nodes = _in_fresh_thread(partial(search, True))
+                assert warm_nodes <= cold_nodes, (i, solver)
+                nodes[solver, "cold"] += cold_nodes
+                nodes[solver, "warm"] += warm_nodes
+        for solver in SOLVERS:
+            assert nodes[solver, "warm"] < nodes[solver, "cold"], nodes
+
+    def test_as_many_triangles_that_are_no_renaming_get_the_cold_answer(self):
+        """Four disjoint triangles, then a K4 on higher ids; a central
+        triangle with one more on each side (nu = tau = 3) against a strip
+        of four (nu = tau = 2), which has as many edges too; and the
+        central one beside a diamond (nu = 4, its greedy packing 2), then
+        beside two triangles whose new corners 15 and 16 both map onto the
+        diamond's vertex 11: the triangles map one-to-one but the edges do
+        not, and nu = 5."""
+        k4 = Graph.from_edges([(u + 20, v + 20) for u, v in complete_graph(4).edges()])
+        flower = Graph.from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3),
+                                   (1, 4), (2, 4), (0, 5), (2, 5)])
+        diamond = Graph.from_edges(flower.edges() + [
+            (10, 11), (10, 12), (11, 12), (10, 13), (11, 13)])
+        bowtie = Graph.from_edges(flower.edges() + [
+            (10, 15), (10, 12), (12, 15), (10, 16), (10, 13), (13, 16)])
+        strip = Graph.from_edges([(u + 10, v + 10) for u, v in (
+            (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5))])
+        pairs = ((disjoint_triangles(4), k4), (flower, strip), (strip, flower),
+                 (diamond, bowtie))
+        for first, second in pairs:
+            assert len(enumerate_triangles(first)) == len(enumerate_triangles(second))
+            for solver in SOLVERS:
+                for limit in (None, *range(-1, 6)):
+                    cold = _in_fresh_thread(partial(_answer, solver, second, limit))
+
+                    def warm():
+                        _etp_then_etc(first)
+                        return _answer(solver, second, limit)
+
+                    assert _in_fresh_thread(warm) == cold, (solver, limit)
+
+    def test_covering_after_packing_where_tau_exceeds_nu(self):
+        """The kept packing bounds the cover search where the disjoint count
+        falls one short; with tau > nu no cover stops the search early, so
+        each node saved is the packing bound's, and no optimum is cut."""
+        graphs = [generate(GenSpec("erdos_renyi", seed, n=n, p=p))
+                  for seed, n, p in ((1, 10, 0.5), (4, 12, 0.4), (4, 12, 0.5),
+                                     (5, 10, 0.5), (5, 12, 0.5), (9, 10, 0.5))]
+        graphs.append(complete_graph(5))
+        cold_nodes = warm_nodes = 0
+        for i, g in enumerate(graphs):
+            nu = _in_fresh_thread(partial(solve_etp_exact, g)).optimum
+            tau = _in_fresh_thread(partial(solve_etc_exact, g))
+            assert tau.optimum > nu, i
+            for before in (None, nu - 1):
+                for limit in (None, *range(-1, tau.optimum + 2)):
+                    cold = _in_fresh_thread(partial(_answer, "etc", g, limit))
+
+                    def warm():
+                        solve_etp_exact(g, limit=before)
+                        return _answer("etc", g, limit)
+
+                    assert _in_fresh_thread(warm) == cold, (i, before, limit)
+
+            def after_packing():
+                solve_etp_exact(g)
+                return solve_etc_exact(g).nodes
+
+            cold_nodes += tau.nodes
+            warm_nodes += _in_fresh_thread(after_packing)
+        assert warm_nodes < cold_nodes
