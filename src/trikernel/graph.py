@@ -408,8 +408,11 @@ def covers(g: Graph, edges) -> bool:
             cut.setdefault(u, set()).add(v)
             cut.setdefault(v, set()).add(u)
     rest = {u: nbrs - cut[u] if u in cut else nbrs for u, nbrs in g.adj.items()}
-    return not any(rest[u] & rest[v] for u, nbrs in rest.items()
-                   for v in nbrs if u < v)
+    for u, nbrs in rest.items():
+        for v in nbrs:
+            if u < v and not nbrs.isdisjoint(rest[v]):
+                return False
+    return True
 
 
 # -- parsing / serialization -------------------------------------------------

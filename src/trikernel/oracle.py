@@ -7,7 +7,9 @@ on an explicit stack, so no input can exhaust the recursion limit:
 
 * packing includes or excludes the next triangle of the lexicographic list
   and bounds each node by a per-vertex degree bound over the edges its
-  candidates still use;
+  candidates still use and by a greedy edge cover of its candidates (any
+  edge set meeting every candidate caps the packing, since packed
+  triangles need distinct edges: ``nu <= tau``);
 * covering is 3-Hitting Set branching that partitions the covers: delete
   one allowed edge of the live triangle with the fewest, forbidding the
   edges tried before it, and bound each node below by live triangles whose
@@ -83,6 +85,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .graph import (
@@ -127,6 +131,24 @@ class OracleResult:
 def _edge_bits(g: Graph) -> dict[Edge, int]:
     """Each edge's bit position: its place in sorted order."""
     return {e: i for i, e in enumerate(g.edges())}
+
+
+def _incidence(g: Graph, triangles: list[Triangle]) -> tuple[
+        dict[Edge, int], list[tuple[int, int, int]], list[int], list[int]]:
+    """The edges' bit positions, each triangle's three positions, for each
+    position the bitset of the triangles (by list index) through it, and
+    for each triangle the bitset of those sharing an edge with it (itself
+    included)."""
+    pos = _edge_bits(g)
+    corners = [(pos[e1], pos[e2], pos[e3])
+               for e1, e2, e3 in map(triangle_edges, triangles)]
+    hit = [0] * len(pos)
+    for i, (a, b, c) in enumerate(corners):
+        t = 1 << i
+        hit[a] |= t
+        hit[b] |= t
+        hit[c] |= t
+    return pos, corners, hit, [hit[a] | hit[b] | hit[c] for a, b, c in corners]
 
 
 class _Kept(NamedTuple):
@@ -272,13 +294,21 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     Branch-and-bound over the lexicographic triangle list from the greedy
     lexicographic packing as incumbent: a node takes its first candidate
     (include) before it drops it (exclude).  Every node is bounded by the
-    least of its candidate count, ``floor(free/3)`` and the per-vertex degree
+    least of its candidate count, ``floor(free/3)``, the per-vertex degree
     bound ``sum_v floor(|union & star[v]|/2) // 3``, where ``union`` holds
     the edges of its candidates and ``star[v]`` those at ``v`` (a packed
-    triangle uses two edges at each corner).  A bound only cuts subtrees that
-    cannot beat the incumbent, so it changes neither the incumbents nor the
-    witness.  The nodes wait on an explicit stack.  The memo may answer
-    instead, and a kept optimum may end the search (module docstring).
+    triangle uses two edges at each corner), and the size of a greedy edge
+    cover of its candidates: take the lowest candidate left and drop the
+    candidates through whichever of its three edges meets the most of them,
+    until none is left (packed triangles need distinct edges, so no packing
+    of the candidates is larger); it stops once it is too large to cut the
+    node.  A node holds its candidates both as a list of edge masks and as
+    a triangle bitset, on which each cover step and the include child's
+    candidates take a few ``&`` of ``hit`` sets.  A bound only cuts
+    subtrees that cannot beat the incumbent, so it changes neither the
+    incumbents nor the witness.  The nodes wait on an explicit stack.  The
+    memo may answer instead, and a kept optimum may end the search (module
+    docstring).
     """
     memo = _recall(g)
     triangles, kept = memo.triangles, memo.etp
@@ -292,9 +322,9 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
         return OracleResult(0, [])
     upper = _bounds(memo)[1]
 
-    pos = _edge_bits(g)
-    masks = [1 << pos[e1] | 1 << pos[e2] | 1 << pos[e3]
-             for e1, e2, e3 in map(triangle_edges, triangles)]
+    pos, corners, hit, near = _incidence(g, triangles)
+    masks = [1 << a | 1 << b | 1 << c for a, b, c in corners]
+    hits = [(hit[a], hit[b], hit[c]) for a, b, c in corners]
     star: dict[int, int] = {}
     for (u, v), i in pos.items():
         star[u] = star.get(u, 0) | 1 << i
@@ -314,10 +344,12 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
     if limit is not None and best > limit:
         exact = False
     elif best != upper:
-        # A node: (candidate masks, depth, chosen masks).
-        stack: list[tuple[list[int], int, tuple[int, ...]]] = [(masks, 0, ())]
+        # A node: (candidate masks, the same candidates as a triangle
+        # bitset, depth, chosen masks).
+        stack: list[tuple[list[int], int, int, tuple[int, ...]]] = [
+            (masks, (1 << len(masks)) - 1, 0, ())]
         while stack:
-            cand, depth, chosen = stack.pop()
+            cand, live, depth, chosen = stack.pop()
             nodes += 1
             if depth > best:
                 best, best_set = depth, chosen
@@ -329,16 +361,33 @@ def solve_etp_exact(g: Graph, *, limit: int | None = None,
             room = best - depth
             if len(cand) <= room:
                 continue
-            union = 0
-            for m in cand:
-                union |= m
+            union = reduce(or_, cand)
             # The edge count is cheaper; the degree bound is never weaker.
-            if union.bit_count() // 3 <= room or sum(
-                    (union & s).bit_count() >> 1 for s in stars) // 3 <= room:
+            if union.bit_count() // 3 <= room or sum([
+                    (union & s).bit_count() >> 1 for s in stars]) // 3 <= room:
+                continue
+            # Greedy cover: an edge of the lowest live candidate that meets
+            # the most of them, until none is left or ``room`` are taken.
+            rest = live
+            for _ in range(room):
+                x, y, z = hits[(rest & -rest).bit_length() - 1]
+                x &= rest
+                y &= rest
+                z &= rest
+                if y.bit_count() > x.bit_count():
+                    x = y
+                if z.bit_count() > x.bit_count():
+                    x = z
+                rest ^= x
+                if not rest:
+                    break
+            if not rest:
                 continue
             head, tail = cand[0], cand[1:]
-            stack.append((tail, depth, chosen))
-            stack.append(([m for m in tail if not m & head], depth + 1,
+            low = live & -live
+            stack.append((tail, live ^ low, depth, chosen))
+            stack.append(([m for m in tail if not m & head],
+                          live & ~near[low.bit_length() - 1], depth + 1,
                           chosen + (head,)))
 
     triangle_of = dict(zip(masks, triangles))
@@ -395,16 +444,7 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         _keep(memo, "etc", g, limit, res)
         return res
 
-    pos = _edge_bits(g)
-    corners = [(pos[e1], pos[e2], pos[e3])
-               for e1, e2, e3 in map(triangle_edges, triangles)]
-    hit = [0] * len(pos)
-    for i, (a, b, c) in enumerate(corners):
-        t = 1 << i
-        hit[a] |= t
-        hit[b] |= t
-        hit[c] |= t
-    near = [hit[a] | hit[b] | hit[c] for a, b, c in corners]
+    pos, corners, hit, near = _incidence(g, triangles)
     packed = 0
     if memo.etp is not None:
         index = {t: i for i, t in enumerate(triangles)}

@@ -71,9 +71,10 @@ Rules 1 and 5 end the run with a verdict.  Every other application is a
 :func:`apply_event` is the single mutator that performs it, on the graph
 (R2-R4, R9) or on the working packing (R6-R8).  The driver and replay share
 that mutator: :func:`replay_trace` is a fold of ``apply_event`` over the
-original graph, so it reproduces the reduced graph exactly, and playing the
-trace backwards lifts a solution of the reduced instance to the original
-one.  :func:`finish` completes an outcome with the exact oracle.
+original graph, so it reproduces the reduced graph exactly, and
+:func:`lift_solution` reads the trace once (its splits as one vertex map) to
+lift a solution of the reduced instance to the original one.
+:func:`finish` completes an outcome with the exact oracle.
 """
 
 from __future__ import annotations
@@ -1133,27 +1134,54 @@ def lift_solution(trace: Sequence[RuleEvent], reduced_solution: Sequence,
                   variant: Variant) -> list:
     """Transform a solution of the reduced instance into one of the original.
 
-    Walking the trace backwards: a crown event contributes its witness
-    triangles (packing) or its head edges (covering); an exclusive-K4 event
-    contributes one of its triangles (packing) or a perfect pair of its edges
-    (covering); a split event renames the minted vertices back.
+    A crown event contributes its witness triangles (packing) or its head
+    edges (covering); an exclusive-K4 event contributes one of its triangles
+    (packing) or a perfect pair of its edges (covering).  The split events
+    compose into one vertex map, from each minted vertex to the vertex of
+    the original graph it came from, which renames every item once: a split
+    mints fresh ids, and an event names only vertices present when it fires,
+    so no split renames what an earlier event contributed.  An item of
+    ``reduced_solution`` that is not a triangle (packing) or edge (covering)
+    of non-negative integer vertex ids raises ``GraphError`` naming it.
     """
     etp = variant is Variant.ETP
-    key = triangle_key if etp else edge_key
-    solution = {key(*item) for item in reduced_solution}
-    for ev in reversed(trace):
-        if ev.rule == "R9":
-            solution.update([triangle_key(c, *e) for c, e in ev.crown_witness]
-                            if etp else ev.head_edges)
+    items = _solution_items(reduced_solution, 3 if etp else 2)
+    origin: dict[int, int] = {}
+    for ev in trace:
+        if ev.rule == "R4":
+            v = origin.get(ev.split_vertex, ev.split_vertex)
+            for x in ev.split_minted:
+                origin[x] = v
+        elif ev.rule == "R9":
+            items.extend([(c, *e) for c, e in ev.crown_witness]
+                         if etp else ev.head_edges)
         elif ev.rule == "R3":
             a, b, c, d = ev.quad
-            solution.update([triangle_key(a, b, c)] if etp
-                            else [edge_key(a, b), edge_key(c, d)])
-        elif ev.rule == "R4":
-            v, minted = ev.split_vertex, set(ev.split_minted)
-            solution = {key(*(v if x in minted else x for x in item))
-                        for item in solution}
-    return sorted(solution)
+            items.extend([(a, b, c)] if etp else [(a, b), (c, d)])
+    to = origin.get
+    if etp:
+        return sorted({triangle_key(to(a, a), to(b, b), to(c, c)) for a, b, c in items})
+    return sorted({edge_key(to(u, u), to(v, v)) for u, v in items})
+
+
+def _solution_items(solution: Iterable, size: int) -> list[tuple[int, ...]]:
+    """The items of ``solution`` as tuples of ``size`` non-negative integer
+    vertex ids; ``GraphError`` names the first item that is not one."""
+    what = "triangle" if size == 3 else "edge"
+    items = []
+    for item in solution:
+        try:
+            ids = tuple(item)
+        except TypeError:
+            raise GraphError(f"{what} {item!r} is not a sequence of vertex ids") from None
+        if len(ids) != size:
+            raise GraphError(f"{what} {item!r} has {len(ids)} vertex ids, not {size}")
+        for x in ids:
+            if type(x) is not int or x < 0:
+                raise GraphError(f"{what} {item!r} has vertex id {x!r}, "
+                                 "not a non-negative integer")
+        items.append(ids)
+    return items
 
 
 # -- solution validation -------------------------------------------------------

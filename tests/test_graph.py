@@ -25,7 +25,7 @@ from trikernel.graph import (
     triangle_key,
 )
 
-from conftest import complete_graph, graphs, petersen_graph
+from conftest import complete_graph, graphs, petersen_graph, reshaped
 
 
 def brute_force_triangles(g: Graph):
@@ -193,6 +193,22 @@ class TestPacksAndCovers:
         edges += data.draw(st.lists(st.tuples(ids, ids), max_size=4))
         for container in (set(edges), dict.fromkeys(edges)):
             assert covers(g, container) == reference_covers(g, container)
+
+    @given(reshaped(graphs(max_n=8)), st.data())
+    @settings(max_examples=300)
+    def test_covers_is_every_triangle_meeting_a_canonical_edge(self, g, data):
+        """Against every vertex triple: the graph's edges drawn as given or
+        reversed (a reversed pair counts for nothing), pairs of absent
+        vertices or non-adjacent ones, and repeats."""
+        vertices = g.vertices()
+        ids = st.sampled_from(vertices + [max(vertices, default=0) + 1])
+        pair = st.tuples(ids, ids)
+        if g.m:
+            pair = st.sampled_from(g.edges()) | st.sampled_from(
+                [(v, u) for u, v in g.edges()]) | pair
+        edges = set(data.draw(st.lists(pair, max_size=g.m + 3)))
+        assert covers(g, edges) == all(
+            not edges.isdisjoint(triangle_edges(t)) for t in brute_force_triangles(g))
 
 
 def reference_packs(g: Graph, triangles) -> bool:

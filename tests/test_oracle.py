@@ -676,3 +676,96 @@ class TestRenamedLists:
             cold_nodes += tau.nodes
             warm_nodes += _in_fresh_thread(after_packing)
         assert warm_nodes < cold_nodes
+
+
+def reference_packing(g: Graph, limit) -> tuple:
+    """``(optimum, witness, exact)`` of a cold ``solve_etp_exact`` call, and
+    the nodes expanded, from its search with no bound but the candidate
+    count: the same lexicographic list, greedy incumbent and include-first
+    order, so the same first incumbent of each size, the same stop past
+    ``limit`` and the same answer."""
+    triangles = enumerate_triangles(g)
+    pos = {e: i for i, e in enumerate(g.edges())}
+    masks = [sum(1 << pos[e] for e in triangle_edges(t)) for t in triangles]
+    best, used = [], 0
+    for i, m in enumerate(masks):
+        if not used & m:
+            best.append(i)
+            used |= m
+    exact = limit is None or len(best) <= limit
+    stack = [(list(range(len(masks))), [])] if exact else []
+    nodes = 0
+    while stack:
+        cand, chosen = stack.pop()
+        nodes += 1
+        if len(chosen) > len(best):
+            best = chosen
+            if limit is not None and len(chosen) > limit:
+                exact = False
+                break
+        if len(cand) <= len(best) - len(chosen):
+            continue
+        head, tail = cand[0], cand[1:]
+        stack.append((tail, chosen))
+        stack.append(([j for j in tail if not masks[j] & masks[head]],
+                      chosen + [head]))
+    return (len(best), [triangles[i] for i in best], exact), nodes
+
+
+class TestPackingBounds:
+    """The packing search's node bounds (candidate count, edge count,
+    per-vertex degrees, a greedy cover of the candidates) cut only subtrees
+    that cannot beat the incumbent, so no answer moves."""
+
+    def test_equals_a_search_with_no_bound_but_the_count(self):
+        """40 seeded ER graphs, n 14-18, with up to 48 triangles, at five
+        limits each, the budget off; the bounds cut all but a five
+        hundredth of the nodes."""
+        def search(g: Graph, limit):
+            res = solve_etp_exact(g, limit=limit, budget=False)
+            return (res.optimum, res.witness, res.exact), res.nodes
+
+        rng = random.Random(2)
+        nodes = [0, 0]
+        for _ in range(40):
+            n, p = rng.randint(14, 18), rng.choice((0.25, 0.3, 0.35))
+            g = generate(GenSpec("erdos_renyi", rng.randrange(10**6), n=n, p=p))
+            for limit in (None, 0, 2, 4, 7):
+                cold, bounded = _in_fresh_thread(partial(search, g, limit))
+                reference, free = reference_packing(g, limit)
+                assert cold == reference, (g.edges(), limit)
+                nodes[0] += bounded
+                nodes[1] += free
+        assert 100 * nodes[0] < nodes[1], nodes  # 1,539 against 803,339
+
+    def test_calibration_node_counts(self):
+        """Nodes expanded on the calibration graphs, cold and after the
+        other solver, wherever both runs take under a second: a change to
+        a bound shows as a changed count."""
+        expected = {
+            ((0, 16, 0.8), "etp", False): 339,
+            ((0, 20, 0.5), "etp", False): 31449,
+            ((0, 20, 0.5), "etp", True): 31449,
+            ((0, 20, 0.5), "etc", False): 11533,
+            ((0, 20, 0.5), "etc", True): 5636,
+            ((2, 20, 0.5), "etp", False): 1389,
+            ((2, 20, 0.5), "etp", True): 1125,
+            ((2, 20, 0.5), "etc", False): 876,
+            ((2, 20, 0.5), "etc", True): 62,
+            ((0, 24, 0.3), "etp", False): 11137,
+            ((0, 24, 0.3), "etp", True): 11137,
+            ((0, 24, 0.3), "etc", False): 3401,
+            ((0, 24, 0.3), "etc", True): 675,
+        }
+
+        def nodes(g: Graph, solver: str, after: bool) -> int:
+            if after:
+                SOLVERS["etc" if solver == "etp" else "etp"](g, budget=False)
+            return SOLVERS[solver](g, budget=False).nodes
+
+        got = {}
+        for (seed, n, p), solver, after in expected:
+            g = generate(GenSpec("erdos_renyi", seed, n=n, p=p))
+            got[(seed, n, p), solver, after] = _in_fresh_thread(
+                partial(nodes, g, solver, after))
+        assert got == expected

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -17,8 +18,10 @@ from trikernel.graph import (
     Instance,
     Variant,
     covers,
+    edge_key,
     enumerate_triangles,
     triangle_edges,
+    triangle_key,
 )
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
 from trikernel.packing import TrianglePacking, greedy_maximal_packing, labeled_edges
@@ -1467,6 +1470,101 @@ class TestLiftSolution:
                     assert is_valid_packing_solution(g, witness, k)
                 else:
                     assert is_valid_cover_solution(g, witness, k)
+
+
+def lift_per_event(trace, reduced_solution, variant: Variant) -> list:
+    """Lifting as a backward walk over the trace that renames the whole
+    solution at every split: the reference ``lift_solution`` must equal."""
+    etp = variant is Variant.ETP
+    key = triangle_key if etp else edge_key
+    solution = {key(*item) for item in reduced_solution}
+    for ev in reversed(trace):
+        if ev.rule == "R9":
+            solution.update([triangle_key(c, *e) for c, e in ev.crown_witness]
+                            if etp else ev.head_edges)
+        elif ev.rule == "R3":
+            a, b, c, d = ev.quad
+            solution.update([triangle_key(a, b, c)] if etp
+                            else [edge_key(a, b), edge_key(c, d)])
+        elif ev.rule == "R4":
+            v, minted = ev.split_vertex, set(ev.split_minted)
+            solution = {key(*(v if x in minted else x for x in item))
+                        for item in solution}
+    return sorted(solution)
+
+
+class TestLiftEqualsPerEventWalk:
+    """``lift_solution`` composes the splits into one vertex map; on real
+    traces it returns what renaming at every event returns."""
+
+    @staticmethod
+    def check(graphs, ks, rng, subsets: int, share: float) -> tuple[int, int]:
+        """Compare on ``subsets`` seeded samples, each holding about
+        ``share`` of the kernel's triangles (packing) or edges (covering),
+        per reduced outcome; the counts of comparisons and of splits."""
+        lifted = splits = 0
+        for g in graphs:
+            for k in ks(g):
+                for variant in VARIANTS:
+                    out = kernelize(Instance(g, k, variant))
+                    if out.instance is None:
+                        continue
+                    kernel = out.instance.graph
+                    splits += sum(ev.rule == "R4" for ev in out.trace)
+                    items = (enumerate_triangles(kernel) if variant is Variant.ETP
+                             else kernel.edges())
+                    for _ in range(subsets):
+                        chosen = [x for x in items if rng.random() < share]
+                        assert lift_solution(out.trace, chosen, variant) == \
+                            lift_per_event(out.trace, chosen, variant)
+                        lifted += 1
+        return lifted, splits
+
+    def test_crossover_traces(self):
+        """Hundreds of splits (787 in the ER run) and crown events."""
+        graphs = [generate(spec) for spec in CROSSOVER]
+        lifted, splits = self.check(graphs, lambda g: (g.n,), random.Random(3), 2, 0.1)
+        assert lifted == 12 and splits > 2000
+
+    def test_kernel_corpus_traces(self):
+        """Every event rule, exclusive K4s (R3) among them."""
+        graphs = [generate(spec) for spec in corpus_specs(59, 60, "kernel")]
+        assert any(ev.rule == "R3" for g in graphs
+                   for ev in kernelize(Instance(g, g.n, Variant.ETC)).trace)
+        lifted, splits = self.check(graphs, lambda g: sorted({1, g.n // 2, g.n}),
+                                    random.Random(4), 4, 0.5)
+        assert lifted > 400 and splits > 0
+
+
+class TestLiftRejectsMalformedItems:
+    """A reduced solution item that is not a triangle (packing) or an edge
+    (covering) of non-negative integer ids is a ``GraphError`` naming it."""
+
+    @staticmethod
+    def trace():
+        out = kernelize(Instance(bowtie(), 2, Variant.ETP))
+        assert any(ev.rule == "R4" for ev in out.trace)
+        return out.trace
+
+    def assert_rejected(self, variant: Variant, item) -> None:
+        with pytest.raises(GraphError, match=re.escape(repr(item))):
+            lift_solution(self.trace(), [(0, 1, 2)[:3 if variant is Variant.ETP else 2],
+                                         item], variant)
+
+    def test_wrong_arity(self):
+        self.assert_rejected(Variant.ETP, (0, 1))
+        self.assert_rejected(Variant.ETP, (0, 1, 2, 3))
+        self.assert_rejected(Variant.ETC, (0, 1, 2))
+        self.assert_rejected(Variant.ETC, 7)
+
+    def test_non_integer_id(self):
+        self.assert_rejected(Variant.ETP, (0, "1", 2))
+        self.assert_rejected(Variant.ETP, (0, 1.0, 2))
+        self.assert_rejected(Variant.ETC, (None, 1))
+
+    def test_negative_id(self):
+        self.assert_rejected(Variant.ETP, (-1, 1, 2))
+        self.assert_rejected(Variant.ETC, (0, -3))
 
 
 class TestSolutionValidators:
