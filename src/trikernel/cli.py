@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .audit import audit_instance
-from .gen import GenSpec, corpus_specs, generate
+from .gen import GenSpec, corpus_specs, generate, vertex_count
 from .graph import (
     Graph,
     GraphError,
@@ -62,8 +62,8 @@ class RunManifest:
 def _read_instance(args) -> Instance:
     path = Path(args.graph)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_INPUT))
     try:
         g = load_graph(text, args.format)
@@ -151,11 +151,12 @@ def _verify_one(payload: tuple[dict, int]) -> dict:
     """Worker: compare kernelized and exact decisions on one instance."""
     spec_data, max_n = payload
     spec = GenSpec.from_json(spec_data)
-    g = generate(spec)
     result = {"spec": spec_data, "checked": 0, "mismatches": []}
-    if g.n > max_n:
-        result["skipped"] = f"n={g.n} beyond oracle scale {max_n}"
+    n = vertex_count(spec)  # before drawing: a skipped spec may be huge
+    if n > max_n:
+        result["skipped"] = f"n={n} beyond oracle scale {max_n}"
         return result
+    g = generate(spec)
     etp_opt = solve_etp_exact(g, limit=g.n, budget=False)
     etc_opt = solve_etc_exact(g, limit=g.n, budget=False)
     for k in range(g.n + 1):
@@ -191,7 +192,8 @@ def _corpus_from_args(args) -> list[GenSpec]:
                             p=args.p, count=args.count, noise=args.noise,
                             fans=args.fans)
                     for i in range(args.instances)]
-    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    # a JSONDecodeError is a ValueError; deep nesting is a RecursionError
+    except (OSError, ValueError, RecursionError) as exc:
         source = "manifest" if args.manifest else "corpus"
         raise SystemExit(_fail(f"{source}: {exc}", EXIT_INPUT))
     return corpus_specs(args.seed, args.instances, "small")

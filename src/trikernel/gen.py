@@ -77,6 +77,21 @@ def generate(spec: GenSpec) -> Graph:
     return _splittable_mix(spec.count, spec.noise, _rng(spec))
 
 
+def vertex_count(spec: GenSpec) -> int:
+    """``generate(spec).n``, without drawing the graph: noise only adds
+    edges between vertices that are there already."""
+    if spec.kind == "erdos_renyi":
+        return spec.n
+    if spec.kind == "planted_packing":
+        return 3 * spec.count
+    if spec.kind == "k4_gadgets":
+        return 4 * spec.count
+    if spec.kind == "crown_gadgets":
+        return (3 + spec.fans) * spec.count
+    # splittable_mix: bowties (5 vertices) and 3-fans (7) in turn
+    return 6 * spec.count - spec.count % 2
+
+
 def _erdos_renyi(n: int, p: float, rng: random.Random) -> Graph:
     g = Graph()
     for v in range(n):

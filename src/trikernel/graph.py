@@ -84,11 +84,11 @@ class Masks:
     ``i`` of ``of[v]`` is set when ``v`` is adjacent to ``ids[i]``.
 
     ``ids`` holds the vertex ids by position and ascends: a build ranks the
-    vertices by id, and a vertex added later (a split's minted pair, an id
-    above every id so far) takes the next position.  ``pos[v]`` is the
-    position of a present vertex ``v``.  A vertex that is gone keeps its
-    place in ``ids`` (walks skip it, as it has no ``pos`` entry), so no
-    position moves until the view is built again.
+    vertices by id, and a split's minted pair (ids above every id so far)
+    takes the next two positions.  ``pos[v]`` is the position of a present
+    vertex ``v``.  A vertex that is gone keeps its place in ``ids`` (walks
+    skip it, as it has no ``pos`` entry), so no position moves until the
+    view is built again.
 
     ``of`` is None when the masks would not fit (see
     ``MASK_BITS_PER_ENTRY``: a large sparse graph); the callers then answer
@@ -130,11 +130,11 @@ class Graph:
     to this object (a copy starts again at 0), which lets a reader tell that
     a graph it saw before is still the same.  Once a query has built the
     neighbour view (:meth:`masks`), the mutators a run makes (removals and
-    splits) and ``add_vertex`` keep it up to date; ``add_edge``, which no
-    run makes, drops it until next use, and a copy starts without it.  That
-    build is the only write a query makes; it changes neither ``adj`` nor
-    ``version``, so concurrent readers see the same answers whichever of
-    them builds the masks.
+    splits) keep it up to date; every other mutator (``add_vertex``,
+    ``add_edge``) drops it until next use, and a copy starts without it.
+    That build is the only write a query makes; it changes neither ``adj``
+    nor ``version``, so concurrent readers see the same answers whichever
+    of them builds the masks.
     """
 
     __slots__ = ("adj", "next_id", "_m", "version", "_masks")
@@ -201,11 +201,6 @@ class Graph:
             self._masks = Masks(self.adj, self._m)
         return self._masks
 
-    def built_masks(self) -> Masks | None:
-        """The view if a query has built it, else None, for a one-shot
-        question that a build would cost more than it saves."""
-        return self._masks
-
     # -- mutation ----------------------------------------------------------
 
     def add_vertex(self, v: int | None = None) -> int:
@@ -216,18 +211,7 @@ class Graph:
         if v not in self.adj:
             self.adj[v] = set()
             self.version += 1
-            masks = self._masks
-            if masks is not None:
-                if masks.ids and v <= masks.ids[-1]:
-                    self._masks = None  # no place for it; built again on use
-                elif masks.of is not None and not _masks_fit(
-                        len(self.adj), self._m, len(masks.ids) + 1):
-                    self._masks = None  # too wide; built again, without gaps
-                else:
-                    masks.pos[v] = len(masks.ids)
-                    masks.ids.append(v)
-                    if masks.of is not None:
-                        masks.of[v] = 0
+            self._masks = None  # built again on use
         if v >= self.next_id:
             self.next_id = v + 1
         return v

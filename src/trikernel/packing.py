@@ -156,18 +156,11 @@ def remaximalize(g: Graph, s: TrianglePacking,
 def labeled_edges(g: Graph, s: TrianglePacking) -> set[Edge]:
     """Packed edges spanned by at least one vertex outside the packing.
 
-    One question per packed edge: it builds no masks, and answers on sets
-    unless the graph has masks already (a run's working graph)."""
-    masks, adj = g.built_masks(), g.adj
-    if masks is None or masks.of is None:
-        free = g.vertex_set() - s.vertex_set()
-        return {(u, v) for u, v in s.edge_index if adj[u] & adj[v] & free}
-    of, pos = masks.of, masks.pos
-    # every position but the packing's; a gone one is in no mask
-    free = (1 << len(masks.ids)) - 1
-    for v in s.vertex_set():
-        free ^= 1 << pos[v]
-    return {(u, v) for u, v in s.edge_index if of[u] & of[v] & free}
+    One question per packed edge, asked on the adjacency sets: it builds no
+    masks."""
+    adj = g.adj
+    free = g.vertex_set() - s.vertex_set()
+    return {(u, v) for u, v in s.edge_index if not free.isdisjoint(adj[u] & adj[v])}
 
 
 @dataclass

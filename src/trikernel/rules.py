@@ -27,10 +27,10 @@ questions, and answer them on the working graph's neighbour masks
 (:meth:`Graph.masks`), built by the run's first scan and kept up to date by
 every event; a graph too large and sparse for masks is answered on its
 adjacency sets, with the same answers.  R2 and R3 share one body for
-either format: ``&`` and a count work on ints and sets alike.  R4's
-search, the spanners and :func:`packing.labeled_edges` keep a set body
-beside the mask one, which a shared body would slow down; the greedy
-packing's set side is :func:`packing.remaximalize`'s full pass.  R3 and R4
+either format: ``&`` and a count work on ints and sets alike.  Only R4's
+search and the spanners keep a set body beside the mask one, which a
+shared body would slow down; the greedy packing's set side is
+:func:`packing.remaximalize`'s full pass.  R3 and R4
 walk the view's positions, which are one ascending vertex order per run:
 the sorted input vertices, with each split's two minted ids appended (they
 exceed every id so far).  Vertices that are gone are skipped, and R4
@@ -331,7 +331,10 @@ def trace_to_json(trace: Sequence[RuleEvent]) -> str:
 
 def trace_from_json(text: str) -> list[RuleEvent]:
     """Parse a trace; a malformed one raises ``ValueError`` naming the event."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("a trace nests deeper than the JSON reader allows") from None
     if not isinstance(data, dict) or not isinstance(data.get("events"), list):
         raise ValueError("a trace is a JSON object with an 'events' list")
     trace = []
@@ -747,20 +750,19 @@ def for_variant(ev: RuleEvent, variant: Variant) -> RuleEvent:
     return ev._replace(k_delta=-1 if variant is Variant.ETP else -2)
 
 
-def rule_event(rule: str, g: Graph,
-               s: TrianglePacking | None = None,
-               state: _ScanState | None = None) -> RuleEvent | None:
+def rule_event(rule: str, g: Graph, s: TrianglePacking | None = None,
+               after: int | None = None,
+               spanners: dict[Edge, list[int]] | None = None) -> RuleEvent | None:
     """The event of one application of ``rule`` to the current state, or None.
 
     Rules 2-4 read only ``g``, Rules 6-9 also read the working packing
-    ``s``.  The fixpoint loop passes its ``state``: R4 scans from its
-    cursor on, and R6-R8 read its spanners.  The event is the same for both
-    problems; an R3 event gets its ``k_delta`` from :func:`for_variant`.  The finders are
-    looked up as module globals at call time, so replacing one on the
-    module changes what every caller sees.
+    ``s``.  The fixpoint loop passes R4's cursor ``after`` (the vertex it
+    last split) and the ``spanners`` of ``s``; a direct call scans from the
+    start and builds the spanners it needs.  The event is the same for both
+    problems; an R3 event gets its ``k_delta`` from :func:`for_variant`.
+    The finders are looked up as module globals at call time, so replacing
+    one on the module changes what every caller sees.
     """
-    if state is None:
-        state = _ScanState()
     if rule == "R2":
         found = find_prunable(g)
         if found is not None:
@@ -773,7 +775,7 @@ def rule_event(rule: str, g: Graph,
             return RuleEvent("R3", quad=quad, removed_edges=tuple(
                 edge_key(a, b) for a, b in combinations(quad, 2)))
     elif rule == "R4":
-        found = find_splittable(g, state.after)
+        found = find_splittable(g, after)
         if found is not None:
             v, part1, part2 = found
             # Graph.split mints the next two ids
@@ -781,13 +783,13 @@ def rule_event(rule: str, g: Graph,
                              split_part2=tuple(part2),
                              split_minted=(g.next_id, g.next_id + 1))
     elif rule == "R6":
-        found = find_augment_one(g, s, state.spanners)
+        found = find_augment_one(g, s, spanners)
         if found is not None:
             t, new = found
             return RuleEvent("R6", packing_removed=(t,), packing_added=tuple(new))
     elif rule in ("R7", "R8"):
         found = (find_augment_two if rule == "R7" else find_revertex)(
-            g, s, state.spanners)
+            g, s, spanners)
         if found is not None:
             t1, t2, new = found
             return RuleEvent(rule, packing_removed=(t1, t2),
@@ -841,34 +843,18 @@ _STRUCTURAL = ("R2", "R3", "R4")
 _RESCAN = {"R2": ("R3", "R4"), "R4": ("R4",)}
 
 
-class _ScanState:
-    """What a run keeps from one scan to the next (module docstring); a
-    fresh one, as :func:`rule_event` makes for a direct call, keeps nothing.
-
-    ``after`` is R4's cursor.  ``spanners`` (:func:`_strict_spanners`)
-    belong to the working packing.
-    """
-
-    __slots__ = ("after", "spanners")
-
-    def __init__(self) -> None:
-        self.after: int | None = None
-        self.spanners: dict[Edge, list[int]] | None = None
-
-
 def _after_swap(g: Graph, s: TrianglePacking, removed: Sequence[Triangle],
-                added: Sequence[Triangle], state: _ScanState) -> None:
-    """Bring ``state``'s spanners up to date after a swap removed
-    ``removed`` and it and the re-maximalization that followed it added
-    ``added``.
+                added: Sequence[Triangle], spanners: dict[Edge, list[int]]) -> None:
+    """Bring ``spanners`` (:func:`_strict_spanners` of ``s``) up to date in
+    place after a swap removed ``removed`` and it and the
+    re-maximalization that followed it added ``added``.
 
     The edges whose packed status can have changed are those of these
     triangles.  An entry reads the status of its edge and of the two side
     edges at each common neighbour, so it is recomputed for those edges and
     for every packed edge that shares a triangle with one of them.
     """
-    adj, packed, spanners = g.adj, s.edge_index, state.spanners
-    masks = g.masks()
+    adj, packed, masks = g.adj, s.edge_index, g.masks()
     moved = {e for t in (*removed, *added) for e in triangle_edges(t)}
     redo = {e for e in moved if e in packed or e in spanners}
     for a, b in moved:
@@ -919,7 +905,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
     offsets = dict.fromkeys(traces, 0)
     end = 0
     s: TrianglePacking | None = None
-    state = _ScanState()
+    after = spanners = None  # R4's cursor; _strict_spanners of s
     scan = _STRUCTURAL  # structural rules that may apply; () once all are clean
     high = -1           # the largest |S| since the last graph event
     recorded = None     # the packing the last R5 point holds
@@ -935,7 +921,7 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
 
         ev = None
         for rule in scan:
-            ev = rule_event(rule, g, state=state)
+            ev = rule_event(rule, g, after=after)
             if ev is not None:
                 break
         else:
@@ -950,12 +936,12 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 high = len(s)
                 yield "R5", end, dict(offsets), (high, s)
                 recorded = s
-            if state.spanners is None:  # once per graph state
-                state.spanners = _strict_spanners(g, s)
-            ev = (rule_event("R6", g, s, state)
-                  or rule_event("R7", g, s, state)
-                  or rule_event("R8", g, s, state)
-                  or rule_event("R9", g, s, state))
+            if spanners is None:  # once per graph state
+                spanners = _strict_spanners(g, s)
+            ev = (rule_event("R6", g, s, spanners=spanners)
+                  or rule_event("R7", g, s, spanners=spanners)
+                  or rule_event("R8", g, s, spanners=spanners)
+                  or rule_event("R9", g, s))
             if ev is None:
                 yield None, end, dict(offsets), (g, s)
                 return
@@ -976,13 +962,13 @@ def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
                 raise GraphError("packed triangles leave the graph or share an edge")
             if ev.rule == "R8" and len(s.vertex_set()) <= covered:
                 raise GraphError("packing vertex count did not grow")
-            _after_swap(g, s, ev.packing_removed, added, state)
+            _after_swap(g, s, ev.packing_removed, added, spanners)
         else:
             apply_event(g, ev, s)
-            s = state.spanners = None
+            s = spanners = None
             retest = ev.rule != "R4"
             scan = _RESCAN.get(ev.rule, _STRUCTURAL)
-            state.after = ev.split_vertex  # None after R2, R3 and R9
+            after = ev.split_vertex  # None after R2, R3 and R9
         for variant, trace in traces.items():
             trace.append(for_variant(ev, variant))
             offsets[variant] += trace[-1].k_delta
@@ -997,7 +983,7 @@ def _rule_code() -> tuple:
             find_splittable, find_augment_one, find_augment_two, find_revertex,
             find_crown, greedy_maximal_packing, remaximalize, labeled_edges,
             build_span_bipartite, extract_crown, max_matching, _strict_spanners,
-            _spanning, _after_swap, _ScanState)
+            _spanning, _after_swap)
 
 
 class _Run:

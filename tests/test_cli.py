@@ -171,6 +171,21 @@ class TestSolveCommand:
         assert capsys.readouterr().out.startswith("yes")
 
 
+def assert_one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["kernelize", "solve", "audit"])
+def test_a_non_utf8_graph_file_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("0 1\n1 2\n0 2\n# caf\u00e9\n".encode("latin-1"))
+    assert main([command, "--problem", "etp", "--k", "1", str(path)]) == 2
+    assert_one_error_line(capsys)
+
+
 def assert_refused_before_any_instance(capsys, monkeypatch, argv) -> None:
     """``main(argv)`` exits 2 with one ``error:`` line and runs no instance."""
     import trikernel.cli as cli_mod
@@ -180,10 +195,7 @@ def assert_refused_before_any_instance(capsys, monkeypatch, argv) -> None:
 
     monkeypatch.setattr(cli_mod, "_verify_one", never)
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_one_error_line(capsys)
 
 
 class TestVerifyCommand:
@@ -227,6 +239,29 @@ class TestVerifyCommand:
             path.write_text(json.dumps(manifest))
             flags = ["--manifest", str(path)]
         assert_refused_before_any_instance(capsys, monkeypatch, ["verify", *flags])
+
+    def test_deeply_nested_manifest_is_input_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert_refused_before_any_instance(
+            capsys, monkeypatch, ["verify", "--manifest", str(path)])
+
+    def test_a_spec_beyond_max_n_is_skipped_before_it_is_drawn(
+            self, tmp_path, capsys, monkeypatch):
+        import trikernel.cli as cli_mod
+
+        def never(spec):
+            raise AssertionError(f"{spec} was drawn")
+
+        monkeypatch.setattr(cli_mod, "generate", never)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([
+            {"kind": "erdos_renyi", "seed": 0, "n": 6000, "p": 0.9},
+            {"kind": "planted_packing", "seed": 0, "count": 3_000_000},
+        ]))
+        assert main(["verify", "--manifest", str(path)]) == 0
+        assert "over 2 instances (2 skipped)" in capsys.readouterr().out
 
     def test_injected_rule_bug_is_caught(self, capsys, monkeypatch):
         # mutation harness: corrupt the pruning rule so it deletes a vertex

@@ -1,6 +1,6 @@
 import pytest
 
-from trikernel.gen import GenSpec, corpus_specs, generate
+from trikernel.gen import GenSpec, corpus_specs, generate, vertex_count
 from trikernel.graph import Instance, Variant
 from trikernel.oracle import solve_etp_exact
 from trikernel.rules import kernelize
@@ -88,6 +88,11 @@ class TestCorpus:
     def test_kernel_profile_covers_all_kinds(self):
         kinds = {spec.kind for spec in corpus_specs(3, 25, "kernel")}
         assert len(kinds) == 5
+
+    @pytest.mark.parametrize("profile", ["small", "kernel"])
+    def test_vertex_count_is_the_drawn_graphs(self, profile):
+        for spec in corpus_specs(3, 200, profile):
+            assert vertex_count(spec) == generate(spec).n, spec
 
     def test_unknown_profile(self):
         with pytest.raises(ValueError):

@@ -482,15 +482,22 @@ class TestMasks:
         assert masks.pos == {BIG: 0, BIG + 5: 1, 3 * BIG: 2}
         assert masks.of == {BIG: 0b010, BIG + 5: 0b101, 3 * BIG: 0b010}
 
-    def test_an_id_below_the_top_drops_the_masks_until_next_use(self):
-        g = Graph.from_edges([(1, 5)])
-        g.masks()
-        g.add_vertex(9)  # above the top: appended
-        assert g._masks.ids == [1, 5, 9]
+    def test_add_vertex_drops_a_built_view(self):
+        """No run adds a vertex, so ``add_vertex`` drops the view, whatever
+        the id, and the next query builds it afresh."""
+        g = Graph.from_edges([(1, 5), (5, 9)])
+        view = g.masks()
+        g.add_vertex(5)  # present already: nothing changes
+        assert g._masks is view
         g.remove_vertex(5)
-        g.add_vertex(7)  # below the top: dropped
+        g.add_vertex(7)  # below the top id
         assert g._masks is None
-        assert g.masks().ids == [1, 7, 9]
+        g.masks()
+        g.add_vertex()  # above every id
+        assert g._masks is None
+        masks, fresh = g.masks(), Masks(g.adj, g.m)
+        assert masks.ids == fresh.ids == [1, 7, 9, 10]
+        assert masks.pos == fresh.pos and masks.of == fresh.of
 
     def test_a_large_sparse_graph_gets_ranks_but_no_masks(self):
         # n * n bits would exceed MASK_BITS_PER_ENTRY bits per vertex and
@@ -507,25 +514,34 @@ class TestMasks:
         assert complete_graph(MASK_BITS_PER_ENTRY + 1).masks().of is not None
 
     def test_positions_past_the_limit_drop_the_view(self):
-        """Positions outgrow the limit through vertices that are gone (a
-        rebuild ranks only the rest, with masks again) or through vertices
-        that are present (a rebuild has no masks)."""
-        g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-        for _ in range(MASK_BITS_PER_ENTRY * 2):
-            masks = g.masks()
-            if len(masks.ids) > MASK_BITS_PER_ENTRY:
-                g.remove_vertex(masks.ids[-1])
-            g.add_vertex()  # one more position
+        """Each split appends two positions and retires one.  Positions
+        outgrow the limit through vertices that are gone (a rebuild ranks
+        only the rest, with masks again) or through vertices that are
+        present (a rebuild has no masks)."""
+        leaves = 600  # the star's masks fit: 601 * 601 bits, under 256 * 1801
+        g = Graph.from_edges((0, leaf) for leaf in range(1, leaves + 1))
+        hub = 0
+
+        def peel() -> int:
+            """Split the hub's smallest edge off; the new hub keeps the rest."""
+            nonlocal hub
+            nbrs = sorted(g.adj[hub])
+            f1, hub = g.split(hub, [(hub, nbrs[0])], [(hub, u) for u in nbrs[1:]])
+            return f1
+
+        assert g.masks().of is not None
+        for _ in range(leaves):
+            g.remove_vertex(peel())  # gone: the leaf it took stays, isolated
             if g._masks is None:
                 break
             assert_masks_follow_adj(g)
         assert g._masks is None
         assert g.masks().of is not None and len(g.masks().ids) == g.n
-        for _ in range(MASK_BITS_PER_ENTRY * 2):
-            g.add_vertex()
-            if g._masks is None:
+        for _ in range(leaves):
+            peel()  # present: one more vertex each time
+            if g._masks is None and g.masks().of is None:
                 break
-        assert g._masks is None and g.masks().of is None
+        assert g._masks.of is None and len(g._masks.ids) == g.n
         assert_masks_follow_adj(g)
 
     @pytest.mark.parametrize("n, degree", [(1700, 6), (3000, 6)])

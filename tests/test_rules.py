@@ -730,6 +730,10 @@ class TestKernelize:
         with pytest.raises(ValueError, match=message):
             trace_from_json(text)
 
+    def test_deeply_nested_trace_is_a_value_error(self):
+        with pytest.raises(ValueError, match="nests deeper"):
+            trace_from_json("[" * 200_000)
+
     @given(graphs(max_n=9))
     @settings(max_examples=60, deadline=None)
     def test_decision_equivalence_random(self, g):
@@ -994,6 +998,28 @@ class TestResumedSwapPhase:
         swaps = sum(out.counters[rule] for rule in SWAP_RULES)
         assert swaps >= 20
         assert calls["_strict_spanners"] == calls["greedy_maximal_packing"] < swaps
+
+    def test_a_run_builds_its_view_once(self, monkeypatch):
+        """A run changes its working graph only through mutators that keep
+        the neighbour view, so a k-free run builds it once, on its copy:
+        the caller's graph gets none."""
+        import trikernel.graph as graph_mod
+        builds = []
+
+        class Counted(graph_mod.Masks):
+            __slots__ = ()
+
+            def __init__(self, adj, m):
+                builds.append(len(adj))
+                super().__init__(adj, m)
+
+        monkeypatch.setattr(graph_mod, "Masks", Counted)
+        for spec in SWAP_HEAVY:
+            g = generate(spec)
+            builds.clear()
+            out = _in_fresh_thread(lambda: kernelize(Instance(g, 10**6, Variant.ETP)))
+            assert out.verdict == "reduced" and builds == [g.n], spec
+            assert g._masks is None
 
     @pytest.mark.parametrize("bad", ["outside", "shared-edge"])
     def test_a_bad_later_swap_is_refused(self, monkeypatch, bad):
