@@ -78,12 +78,11 @@ def _fail(message: str, code: int) -> int:
 
 
 def _write_outputs(outdir: str, manifest: RunManifest, outcome: KernelOutcome,
-                   reduced: Graph | None, extra: dict) -> None:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "trace.json").write_text(trace_to_json(outcome.trace))
-    if reduced is not None:
-        (out / "reduced.edgelist").write_text(dump_edgelist(reduced))
+                   reduced: Graph | None, extra: dict,
+                   audit: str | None = None) -> None:
+    """Write the run directory: ``trace.json`` and ``stats.json``, with
+    ``reduced.edgelist`` for a kernel and ``audit.json`` for an audit.  A
+    directory that cannot be made or written is an input error."""
     stats = {
         "manifest": asdict(manifest),
         "verdict": outcome.verdict,
@@ -91,7 +90,19 @@ def _write_outputs(outdir: str, manifest: RunManifest, outcome: KernelOutcome,
         "counters": outcome.counters,
         **extra,
     }
-    (out / "stats.json").write_text(json.dumps(stats, indent=1))
+    files = {"trace.json": trace_to_json(outcome.trace),
+             "stats.json": json.dumps(stats, indent=1)}
+    if reduced is not None:
+        files["reduced.edgelist"] = dump_edgelist(reduced)
+    if audit is not None:
+        files["audit.json"] = audit
+    out = Path(outdir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        raise SystemExit(_fail(f"cannot write {out}: {exc}", EXIT_INPUT))
 
 
 def cmd_kernelize(args) -> int:
@@ -124,10 +135,7 @@ def cmd_kernelize(args) -> int:
 def cmd_solve(args) -> int:
     inst = _read_instance(args)
     outcome = kernelize(inst)
-    try:
-        answer, reduced_witness = finish(outcome, inst.variant)
-    except OracleBudgetError as exc:
-        return _fail(str(exc), EXIT_BUDGET)
+    answer, reduced_witness = finish(outcome, inst.variant)
     if not answer:
         print("no")
         return EXIT_OK
@@ -243,13 +251,10 @@ def cmd_audit(args) -> int:
     print(f"n'={report.counters['n']} vs 3|S|={3 * report.counters['packing']}"
           f" (3k'={3 * red.k})")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "audit.json").write_text(report.to_json())
         manifest = RunManifest("audit", str(args.graph), args.problem, args.k,
                                out=args.out)
         _write_outputs(args.out, manifest, outcome, red.graph,
-                       {"audit_passed": report.passed})
+                       {"audit_passed": report.passed}, report.to_json())
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
@@ -258,7 +263,6 @@ def _add_instance_args(sub) -> None:
     sub.add_argument("--k", required=True, type=int)
     sub.add_argument("--format", default="edgelist",
                      choices=["edgelist", "dimacs"])
-    sub.add_argument("--out", default=None, help="directory for output files")
     sub.add_argument("graph", help="path to the input graph")
 
 
@@ -297,6 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     aud = subs.add_parser("audit", help="discharging audit of the kernel")
     _add_instance_args(aud)
     aud.set_defaults(func=cmd_audit)
+    for sub in (ker, aud):
+        sub.add_argument("--out", default=None,
+                         help="directory for output files")
     return parser
 
 

@@ -40,12 +40,10 @@ a mask and leaves the order of the others alone, so two graphs with one
 list get the same search.  A call first compares ``adj`` with the kept
 copy; if that differs, it lists the triangles and compares them with the
 kept list, and a match moves the memo onto a copy of the caller's graph;
-a search on another list replaces the memo.  A list that renames the kept
-one -- a vertex map takes its triangles one-to-one onto the kept list, with
-as many distinct edges, as Rule 4 splits do -- has the kept list's optima,
-so its fresh memo starts from the kept bounds below.  A call is answered
-from the memo only when a cold call would return exactly the same optimum,
-witness and ``exact`` flag:
+a search on any other list starts a fresh memo, which replaces the kept
+one once a result is kept.  A call is answered from the memo only when a
+cold call would return exactly the same optimum, witness and ``exact``
+flag:
 
 * packing: an exact optimum ``p`` answers ``limit=None`` and every
   ``limit >= p``;
@@ -66,14 +64,14 @@ distinct cover edges (``nu <= tau``):
 
 * covering takes ``L``, the largest lower bound on ``tau`` kept: the size
   of a kept packing (exact or not: it was found and checked), a kept cover
-  optimum, or the ``limit + 1`` an inexact cover search reported, and
-  those of a renamed list.  With ``limit + 1 < L`` it answers ``(limit +
-  1, None, False)`` unsearched; a greedy cover of ``L`` edges is not
-  searched past, and the search stops at the first cover of ``L`` edges;
-* packing takes ``U``, the least exact optimum kept of either problem, its
-  own one from a renamed list included (an inexact one is no upper bound).
-  A greedy packing of ``U`` triangles is not searched past, and the search
-  stops at the first packing of ``U`` after the ``limit`` test.
+  optimum, or the ``limit + 1`` an inexact cover search reported.  With
+  ``limit + 1 < L`` it answers ``(limit + 1, None, False)`` unsearched; a
+  greedy cover of ``L`` edges is not searched past, and the search stops at
+  the first cover of ``L`` edges;
+* packing takes ``U``, the least exact optimum kept of either problem (an
+  inexact one is no upper bound).  A greedy packing of ``U`` triangles is
+  not searched past, and the search stops at the first packing of ``U``
+  after the ``limit`` test.
 
 A cold search keeps the first incumbent of each size it reaches in DFS
 order and only a larger packing (a smaller cover) replaces it.  None exists
@@ -162,19 +160,15 @@ class _Memo:
     """This thread's last triangle list and both solvers' results on it
     (module docstring): ``graph`` is a private copy of the last graph
     served (``None`` until a result is kept) and ``etp`` and ``etc`` each
-    hold a :class:`_Kept` or ``None``.  ``lower`` (on the cover optimum)
-    and ``upper`` (on the packing optimum, or ``None``) are the bounds a
-    list this one renames left.  The search never reads ``budget``, so a
-    result found without the budget serves calls with it."""
+    hold a :class:`_Kept` or ``None``.  The search never reads ``budget``,
+    so a result found without the budget serves calls with it."""
 
-    __slots__ = ("graph", "triangles", "etp", "etc", "lower", "upper")
+    __slots__ = ("graph", "triangles", "etp", "etc")
 
-    def __init__(self, graph: Graph | None, triangles: list[Triangle],
-                 lower: int = 0, upper: int | None = None) -> None:
-        self.graph = graph
+    def __init__(self, triangles: list[Triangle]) -> None:
+        self.graph = None
         self.triangles = triangles
         self.etp = self.etc = None
-        self.lower, self.upper = lower, upper
 
 
 _thread = threading.local()  # .memo: this thread's _Memo
@@ -184,9 +178,7 @@ def _recall(g: Graph) -> _Memo:
     """This thread's memo if it was made on ``g``'s triangle list, else a
     fresh one on that list, kept only once a result is.  Equal adjacency
     needs no listing; a match on the listed triangles moves the memo onto
-    a copy of ``g``, so the next call on ``g`` matches on adjacency.  A
-    fresh memo on a list that renames the kept one starts from the kept
-    memo's bounds."""
+    a copy of ``g``, so the next call on ``g`` matches on adjacency."""
     memo = getattr(_thread, "memo", None)
     if memo is not None:
         h = memo.graph
@@ -196,73 +188,15 @@ def _recall(g: Graph) -> _Memo:
     if memo is not None and memo.triangles == triangles:
         memo.graph = g.copy()
         return memo
-    if memo is not None and _renames(triangles, memo.triangles, memo.graph.adj):
-        return _Memo(None, triangles, *_bounds(memo))
-    return _Memo(None, triangles)
-
-
-def _renames(triangles: list[Triangle], kept: list[Triangle],
-             kept_adj: dict[int, set[int]]) -> bool:
-    """Whether a vertex map takes ``triangles`` one-to-one onto ``kept``
-    with as many distinct edges, as Rule 4 splits do.  Then it maps the
-    edges one-to-one too, and each edge lies in a triangle exactly when its
-    image lies in the image, so both lists have the same packings and
-    covers up to the map, and the same optima.
-
-    A vertex of both lists maps to itself; any other, in ascending order,
-    to the first kept vertex missing from ``triangles`` that is adjacent in
-    the kept graph to the images of its triangle neighbours mapped so far
-    and that maps each triangle it completes onto a kept triangle no other
-    triangle took.  Each triangle takes one when its last vertex is
-    mapped, so success is the proof; a miss just costs a cold search."""
-    if len(triangles) != len(kept):
-        return False
-    at: dict[int, list[Triangle]] = {}
-    for t in triangles:
-        for v in t:
-            at.setdefault(v, []).append(t)
-    old = {v for t in kept for v in t}
-    image = {v: v for v in at if v in old}
-    free = set(kept)  # the kept triangles no triangle has taken
-    for t in triangles:
-        if t[0] in image and t[1] in image and t[2] in image:
-            if t not in free:
-                return False
-            free.remove(t)
-    vanished = sorted(old - image.keys())
-    for v in sorted(at.keys() - old):
-        for w in vanished:
-            near, taken = kept_adj[w], []
-            for t in at[v]:
-                others = [image.get(u) for u in t if u != v]
-                if None in others:
-                    if not all(x is None or x in near for x in others):
-                        break
-                    continue
-                a, b = others
-                img = tuple(sorted((a, b, w)))
-                if img not in free or img in taken:
-                    break
-                taken.append(img)
-            else:
-                image[v] = w
-                free.difference_update(taken)
-                break
-        else:
-            return False
-    return _edge_count(triangles) == _edge_count(kept)
-
-
-def _edge_count(triangles: list[Triangle]) -> int:
-    return len({e for t in triangles for e in triangle_edges(t)})
+    return _Memo(triangles)
 
 
 def _bounds(memo: _Memo) -> tuple[int, int | None]:
     """A lower bound on the cover optimum of ``memo``'s list and an upper
     bound on its packing optimum (``None`` if none is known), from its
-    kept results and inherited bounds; ``nu <= tau`` lets each optimum
-    bound the other problem."""
-    lower, upper = memo.lower, memo.upper
+    kept results; ``nu <= tau`` lets each optimum bound the other
+    problem."""
+    lower, upper = 0, None
     for kept in (memo.etp, memo.etc):
         if kept is None:
             continue
@@ -410,10 +344,13 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
     picks the live triangle with the fewest allowed edges; branch ``i``
     deletes that triangle's ``i``-th allowed edge and forbids the ones tried
     before it, so no cover is searched twice.  The edges are tried in order
-    of how many live triangles each hits.  A live triangle with no allowed
-    edge closes the node; otherwise the node is bounded below by a greedy
-    count of live triangles whose allowed edges are pairwise disjoint (each
-    needs its own deleted edge), taken fewest allowed edges first.  When
+    of how many live triangles each hits.  Every live triangle keeps an
+    allowed edge: a branch forbids edges only when its pick has two or more
+    allowed edges, so then every live triangle has two or more, and each
+    other triangle shares at most one edge with the pick.  The node is
+    bounded below by a greedy count of live triangles whose allowed edges
+    are pairwise disjoint (each needs its own deleted edge), taken fewest
+    allowed edges first.  When
     that count falls one short of closing the node and a packing of these
     triangles is kept, the count is taken again from the packing's live
     triangles, which are edge-disjoint.  The nodes wait on an explicit
@@ -421,9 +358,9 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
 
     A node's sets are bitsets over the triangle list: ``hit[j]`` holds the
     triangles through edge ``j``, so a child's live triangles are ``live &
-    ~hit[j]``, and three bit-sliced counters hold the triangles with at
-    least one, two and three forbidden edges, which forbidding an edge
-    updates in O(1).  The memo may answer instead, and a kept packing may
+    ~hit[j]``, and two bit-sliced counters hold the triangles with at
+    least one and two forbidden edges, which forbidding an edge updates in
+    O(1).  The memo may answer instead, and a kept packing may
     end the search (module docstring).
     """
     memo = _recall(g)
@@ -462,13 +399,13 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         cap, best = limit + 2, None
 
     # A node: (live, deleted, count, forbidden, and the live-or-not
-    # triangles with at least one, two and three forbidden edges).  A cover
-    # of ``lower`` edges is optimal, so none is searched past.
+    # triangles with at least one and two forbidden edges).  A cover of
+    # ``lower`` edges is optimal, so none is searched past.
     full = (1 << len(triangles)) - 1
-    stack = [(full, 0, 0, 0, 0, 0, 0)] if cap > lower else []
+    stack = [(full, 0, 0, 0, 0, 0)] if cap > lower else []
     nodes = 0
     while stack:
-        live, deleted, count, forbidden, one, two, three = stack.pop()
+        live, deleted, count, forbidden, one, two = stack.pop()
         if count >= cap:
             continue
         nodes += 1
@@ -476,8 +413,6 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
             cap, best = count, deleted
             if count == lower:
                 break
-            continue
-        if live & three:
             continue
         # Fewest allowed edges first, then triangle order: the pick is the
         # first triangle the bound counts.
@@ -518,9 +453,8 @@ def solve_etc_exact(g: Graph, *, limit: int | None = None,
         for _, e in branch:
             h = hit[e]
             children.append((live & ~h, deleted | 1 << e, count + 1, forbidden,
-                             one, two, three))
+                             one, two))
             forbidden |= 1 << e
-            three |= two & h
             two |= one & h
             one |= h
         stack.extend(reversed(children))

@@ -120,6 +120,12 @@ _EVENT_FIELDS = {
     "R7": ("packing_removed", "packing_added"),
     "R8": ("packing_removed", "packing_added"), "R9": ("crown",),
 }
+# Every key an event, its split and its crown may hold.
+_EVENT_KEYS = frozenset(("rule", "k_delta", "removed_vertices", "removed_edges",
+                         "split", "quad", "crown", "packing_removed",
+                         "packing_added"))
+_SPLIT_KEYS = frozenset(("vertex", "part1", "part2", "minted"))
+_CROWN_KEYS = frozenset(("vertices", "head", "witness"))
 
 
 # .run: this thread's _Run of its last graph;
@@ -176,8 +182,7 @@ class RuleEvent(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "RuleEvent":
-        if not isinstance(data, dict):
-            raise ValueError("an event is a JSON object")
+        data = _object(data, "event", _EVENT_KEYS)
         rule = data.get("rule")
         if rule not in _EVENT_FIELDS:
             raise ValueError(f"unknown rule {rule!r}")
@@ -194,7 +199,7 @@ class RuleEvent(NamedTuple):
                                    for e in _list(data, "removed_edges", [])),
         }
         if "split" in data:
-            split = _object(data["split"], "split")
+            split = _object(data["split"], "split", _SPLIT_KEYS)
             fields.update(
                 split_vertex=_vertex(split["vertex"]),
                 split_part1=tuple(_ids(e, 2, "edge") for e in _list(split, "part1")),
@@ -203,7 +208,7 @@ class RuleEvent(NamedTuple):
         if "quad" in data:
             fields["quad"] = _ids(data["quad"], 4, "quad")
         if "crown" in data:
-            crowndata = _object(data["crown"], "crown")
+            crowndata = _object(data["crown"], "crown", _CROWN_KEYS)
             fields.update(
                 crown_vertices=tuple(_vertex(v) for v in _list(crowndata, "vertices")),
                 head_edges=tuple(_ids(e, 2, "edge") for e in _list(crowndata, "head")),
@@ -232,9 +237,13 @@ def _ids(x: object, arity: int, what: str) -> tuple:
     return out
 
 
-def _object(x: object, what: str) -> dict:
+def _object(x: object, what: str, keys: frozenset[str]) -> dict:
+    """A JSON object whose keys all lie in ``keys``."""
     if not isinstance(x, dict):
         raise ValueError(f"{what} {x!r} is not a JSON object")
+    for key in x:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
     return x
 
 

@@ -186,6 +186,28 @@ def test_a_non_utf8_graph_file_is_input_error(tmp_path, capsys, command):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["kernelize", "audit"])
+def test_out_naming_a_file_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "tri.txt"
+    path.write_text("0 1\n0 2\n1 2\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main([command, "--problem", "etp", "--k", "1", "--out", str(taken),
+                 str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert taken.read_text() == ""
+
+
+def test_solve_has_no_out_option(tmp_path, capsys, k4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "etp", "--k", "1", "--out",
+              str(tmp_path / "run"), str(k4_file)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def assert_refused_before_any_instance(capsys, monkeypatch, argv) -> None:
     """``main(argv)`` exits 2 with one ``error:`` line and runs no instance."""
     import trikernel.cli as cli_mod

@@ -681,9 +681,17 @@ class TestKernelize:
         ({"rule": "R9", "crown": {"vertices": [3], "head": [[0, 1]],
                                   "witness": [[3, 0, 1]]}}, "crown witness"),
         ({"rule": "R9", "crown": [3]}, "crown \\[3\\] is not a JSON object"),
+        ({"rule": "R2", "removed_edgse": [[0, 1]]}, "unknown key 'removed_edgse'"),
+        ({"rule": "R4", "split": {"vertex": 0, "part1": [[0, 1]], "part2": [[0, 2]],
+                                  "minted": [3, 4], "extra": 1}},
+         "split has unknown key 'extra'"),
+        ({"rule": "R9", "crown": {"vertices": [3], "head": [[0, 1]],
+                                  "witness": [[3, [0, 1]]], "heads": []}},
+         "crown has unknown key 'heads'"),
     ], ids=["short-edge", "loop-edge", "negative-vertex", "string-vertex",
             "bool-vertex", "float-k-delta", "short-quad", "short-triangle",
-            "one-minted", "flat-witness", "crown-not-object"])
+            "one-minted", "flat-witness", "crown-not-object", "misspelt-key",
+            "split-extra-key", "crown-extra-key"])
     def test_bad_trace_values_are_value_errors(self, event, message):
         text = json.dumps({"events": [{"rule": "R2"}, event]})
         with pytest.raises(ValueError, match="trace event 1: .*" + message):
