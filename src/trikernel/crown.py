@@ -9,9 +9,9 @@ A fat-head crown of a graph is a triple ``(C, H, X)`` with witness packing
 4. ``P`` matches each edge of ``H`` to a distinct vertex of ``C`` through a
    triangle, and those ``|H|`` triangles are pairwise edge-disjoint.
 
-Detection works on an auxiliary bipartite graph whose left side holds
-candidate crown vertices and whose right side holds candidate head edges,
-with incidence given by the span relation.  A maximum matching either leaves
+Detection works on the span map ``{candidate crown vertex: the head edges
+it spans}``, read as a bipartite graph: its keys, ascending, are the left
+side, and the edges they span the right.  A maximum matching either leaves
 a left vertex unmatched (then alternating-path reachability yields a crown -
 the case the kernel bound relies on) or saturates the left side, where a
 sound closure heuristic still catches head sets perfectly matched into their
@@ -27,44 +27,32 @@ from dataclasses import dataclass
 from .graph import Edge, Graph, GraphError, edge_key, packs, spanned_edges, triangle_key
 
 
-@dataclass
-class SpanBipartiteGraph:
-    """Left: candidate crown vertices; right: candidate head edges."""
-
-    graph: Graph
-    left: list[int]
-    right: list[Edge]
-    adj: dict[int, list[Edge]]
-
-
 def build_span_bipartite(g: Graph, vertices: set[int],
-                         edges: set[Edge]) -> SpanBipartiteGraph:
-    """A vertex of ``vertices`` makes the left side only if it has no
-    neighbor inside ``vertices``, spans at least one edge of ``edges``, and
-    spans nothing outside ``edges`` (a vertex spanning a foreign edge can
-    never sit in a crown whose head is restricted to ``edges``, so dropping
-    it loses no decomposition).
+                         edges: set[Edge]) -> dict[int, list[Edge]]:
+    """The span map ``{a: the edges a spans}``, keys ascending, over the
+    vertices ``a`` of ``vertices`` that have no neighbor inside
+    ``vertices``, span at least one edge of ``edges``, and span nothing
+    outside ``edges`` (a vertex spanning a foreign edge can never sit in a
+    crown whose head is restricted to ``edges``, so dropping it loses no
+    decomposition).
     """
     edges = {edge_key(*e) for e in edges}
     endpoint = {v for e in edges for v in e}
     if vertices & endpoint:
         raise GraphError("candidate crown vertices intersect head edge endpoints")
-    left: list[int] = []
-    adj: dict[int, list[Edge]] = {}
+    span: dict[int, list[Edge]] = {}
     for a in sorted(vertices):
         if g.adj[a] & vertices:
             continue
         spanned = spanned_edges(g, a)
-        if not spanned or any(e not in edges for e in spanned):
-            continue
-        left.append(a)
-        adj[a] = spanned
-    right = sorted({e for sp in adj.values() for e in sp})
-    return SpanBipartiteGraph(g, left, right, adj)
+        if spanned and all(e in edges for e in spanned):
+            span[a] = spanned
+    return span
 
 
-def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
-    """Maximum matching, left vertex -> head edge (Hopcroft-Karp layering)."""
+def max_matching(span: dict[int, list[Edge]]) -> dict[int, Edge]:
+    """Maximum matching of the span map, left vertex -> head edge
+    (Hopcroft-Karp layering)."""
     INF = float("inf")
     pair_left: dict[int, Edge] = {}
     pair_right: dict[Edge, int] = {}
@@ -72,7 +60,7 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
 
     def bfs() -> bool:
         queue: deque[int] = deque()
-        for a in b.left:
+        for a in span:
             if a not in pair_left:
                 dist[a] = 0
                 queue.append(a)
@@ -83,7 +71,7 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
             a = queue.popleft()
             if dist[a] >= found:
                 continue
-            for e in b.adj[a]:
+            for e in span[a]:
                 other = pair_right.get(e)
                 if other is None:
                     found = min(found, dist[a] + 1)
@@ -96,7 +84,7 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
         # Depth-first search for an augmenting path along the BFS layers,
         # kept on an explicit stack: ``frames`` holds each vertex on the path
         # with its edges still to try, ``via`` the edge taken out of each.
-        frames = [(root, iter(b.adj[root]))]
+        frames = [(root, iter(span[root]))]
         via: list[Edge] = []
         while frames:
             a, edges = frames[-1]
@@ -110,7 +98,7 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
                     return
                 if dist[other] == dist[a] + 1:
                     via.append(e)
-                    frames.append((other, iter(b.adj[other])))
+                    frames.append((other, iter(span[other])))
                     break
             else:
                 dist[a] = INF
@@ -119,7 +107,7 @@ def max_matching(b: SpanBipartiteGraph) -> dict[int, Edge]:
                     via.pop()
 
     while bfs():
-        for a in b.left:
+        for a in span:
             if a not in pair_left:
                 augment(a)
     return pair_left
@@ -132,7 +120,7 @@ class FatHeadCrown:
     witness: list[tuple[int, Edge]]  # P: (crown vertex, head edge) pairs
 
 
-def _closed_crown(b: SpanBipartiteGraph, seeds: list[int],
+def _closed_crown(g: Graph, span: dict[int, list[Edge]], seeds: list[int],
                   pair_right: dict[Edge, int]) -> FatHeadCrown | None:
     """The crown closed from ``seeds``: absorb the matching partner of every
     head edge a member spans until none is new, each head edge witnessed by
@@ -142,7 +130,7 @@ def _closed_crown(b: SpanBipartiteGraph, seeds: list[int],
     head: set[Edge] = set()
     queue = deque(seeds)
     while queue:
-        for e in b.adj[queue.popleft()]:
+        for e in span[queue.popleft()]:
             partner = pair_right.get(e)
             if partner is None:
                 return None
@@ -151,12 +139,12 @@ def _closed_crown(b: SpanBipartiteGraph, seeds: list[int],
                 crown.add(partner)
                 queue.append(partner)
     fc = FatHeadCrown(crown, head, [(pair_right[e], e) for e in sorted(head)])
-    return fc if verify_crown(b.graph, fc) else None
+    return fc if verify_crown(g, fc) else None
 
 
-def extract_crown(b: SpanBipartiteGraph,
+def extract_crown(g: Graph, span: dict[int, list[Edge]],
                   matching: dict[int, Edge]) -> FatHeadCrown | None:
-    """A verified crown from the matching structure, or None.
+    """A verified crown from the span map and its maximum matching, or None.
 
     The closure from the unmatched left vertices is alternating-path
     reachability (complete whenever the left side outnumbers its spanned
@@ -164,9 +152,9 @@ def extract_crown(b: SpanBipartiteGraph,
     from each single left vertex is tried instead.
     """
     pair_right = {e: a for a, e in matching.items()}
-    unmatched = [a for a in b.left if a not in matching]
-    for seeds in ([unmatched] if unmatched else []) + [[a] for a in b.left]:
-        fc = _closed_crown(b, seeds, pair_right)
+    unmatched = [a for a in span if a not in matching]
+    for seeds in ([unmatched] if unmatched else []) + [[a] for a in span]:
+        fc = _closed_crown(g, span, seeds, pair_right)
         if fc is not None:
             return fc
     return None

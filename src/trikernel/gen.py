@@ -51,13 +51,14 @@ class GenSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "GenSpec":
-        """The spec a JSON object describes; ``ValueError`` if there is none."""
+        """The spec a JSON object describes; ``ValueError`` if there is none
+        or the object holds a key that is not a field."""
         if not isinstance(data, dict) or "kind" not in data or "seed" not in data:
             raise ValueError(f"spec {data!r} is not an object with a kind and a seed")
-        known = {f: data[f] for f in
-                 ("kind", "seed", "n", "p", "count", "noise", "fans")
-                 if f in data}
-        return cls(**known)
+        for key in data:
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"spec has unknown key {key!r}")
+        return cls(**data)
 
 
 def _rng(spec: GenSpec) -> random.Random:

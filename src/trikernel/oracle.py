@@ -493,7 +493,7 @@ def _greedy_cover(hit: list[int], corners: list[tuple[int, int, int]]) -> list[i
     return chosen
 
 
-def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:
+def decide(inst: Instance) -> tuple[bool, list | None]:
     """Exact decision plus a yes-witness (triangles or edges), else ``None``.
 
     The one place that answers ``k <= 0`` packing and ``k < 0`` covering
@@ -505,9 +505,9 @@ def decide(inst: Instance, *, budget: bool = True) -> tuple[bool, list | None]:
     if inst.variant is Variant.ETP:
         if inst.k <= 0:
             return True, []
-        res = solve_etp_exact(inst.graph, limit=inst.k, budget=budget)
+        res = solve_etp_exact(inst.graph, limit=inst.k)
         return (True, res.witness) if res.optimum >= inst.k else (False, None)
     if inst.k < 0:
         return False, None
-    res = solve_etc_exact(inst.graph, limit=inst.k, budget=budget)
+    res = solve_etc_exact(inst.graph, limit=inst.k)
     return (True, res.witness) if res.optimum <= inst.k else (False, None)

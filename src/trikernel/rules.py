@@ -113,17 +113,15 @@ from .packing import TrianglePacking, greedy_maximal_packing, labeled_edges, rem
 RULE_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
 SWAP_RULES = ("R6", "R7", "R8")
 
-# The serialized fields each event rule cannot do without.
-_EVENT_FIELDS = {
-    "R2": (), "R3": ("quad", "removed_edges"), "R4": ("split",),
-    "R6": ("packing_removed", "packing_added"),
-    "R7": ("packing_removed", "packing_added"),
-    "R8": ("packing_removed", "packing_added"), "R9": ("crown",),
+# The keys each rule's event may hold beside "rule" and "k_delta", and how
+# many of them, from the first, it cannot do without.
+_EVENT_KEYS = {
+    "R2": (("removed_vertices", "removed_edges"), 0),
+    "R3": (("quad", "removed_edges"), 2), "R4": (("split",), 1),
+    "R6": (("packing_removed", "packing_added"), 2),
+    "R7": (("packing_removed", "packing_added"), 2),
+    "R8": (("packing_removed", "packing_added"), 2), "R9": (("crown",), 1),
 }
-# Every key an event, its split and its crown may hold.
-_EVENT_KEYS = frozenset(("rule", "k_delta", "removed_vertices", "removed_edges",
-                         "split", "quad", "crown", "packing_removed",
-                         "packing_added"))
 _SPLIT_KEYS = frozenset(("vertex", "part1", "part2", "minted"))
 _CROWN_KEYS = frozenset(("vertices", "head", "witness"))
 
@@ -182,11 +180,16 @@ class RuleEvent(NamedTuple):
 
     @classmethod
     def from_json(cls, data: dict) -> "RuleEvent":
-        data = _object(data, "event", _EVENT_KEYS)
+        if not isinstance(data, dict):
+            raise ValueError(f"event {data!r} is not a JSON object")
         rule = data.get("rule")
-        if rule not in _EVENT_FIELDS:
+        if rule not in _EVENT_KEYS:
             raise ValueError(f"unknown rule {rule!r}")
-        missing = [f for f in _EVENT_FIELDS[rule] if f not in data]
+        keys, required = _EVENT_KEYS[rule]
+        for key in data:
+            if key not in keys and key not in ("rule", "k_delta"):
+                raise ValueError(f"{rule} event has unknown key {key!r}")
+        missing = [f for f in keys[:required] if f not in data]
         if missing:
             raise ValueError(f"{rule} event lacks {', '.join(missing)}")
         k_delta = data.get("k_delta", 0)
@@ -735,8 +738,8 @@ def find_crown(g: Graph, s: TrianglePacking,
     if not labeled:
         return None
     candidates = g.vertex_set() - {v for e in labeled for v in e}
-    bip = build_span_bipartite(g, candidates, labeled)
-    return extract_crown(bip, max_matching(bip))
+    span = build_span_bipartite(g, candidates, labeled)
+    return extract_crown(g, span, max_matching(span))
 
 
 # -- rule events: one builder, one mutator ------------------------------------
@@ -865,26 +868,17 @@ def _after_swap(g: Graph, s: TrianglePacking, removed: Sequence[Triangle],
     """
     adj, packed, masks = g.adj, s.edge_index, g.masks()
     moved = {e for t in (*removed, *added) for e in triangle_edges(t)}
-    redo = {e for e in moved if e in packed or e in spanners}
+    redo = set(moved)
     for a, b in moved:
         for w in adj[a] & adj[b]:
-            aw = (a, w) if a < w else (w, a)
-            bw = (b, w) if b < w else (w, b)
-            a_packed, b_packed = aw in packed, bw in packed
-            # b spans (a, w) when (a, b) and (b, w) are free, so the change
-            # of (a, b) can move that entry only if (b, w) is free or
-            # changed too
-            if a_packed and (not b_packed or bw in moved):
-                redo.add(aw)
-            if b_packed and (not a_packed or aw in moved):
-                redo.add(bw)
+            redo.add((a, w) if a < w else (w, a))
+            redo.add((b, w) if b < w else (w, b))
     for e in redo:
-        ws = _spanning(adj, masks, packed, *e) if e in packed else []
-        if ws != spanners.get(e, []):
-            if ws:
-                spanners[e] = ws
-            else:
-                del spanners[e]
+        ws = _spanning(adj, masks, packed, *e) if e in packed else None
+        if ws:
+            spanners[e] = ws
+        else:
+            spanners.pop(e, None)
 
 
 def _fixpoint(g: Graph, traces: dict[Variant, list[RuleEvent]]):
@@ -1106,8 +1100,7 @@ def replay_trace(g: Graph, trace: Sequence[RuleEvent]) -> Graph:
 # -- finishing with the oracle ------------------------------------------------
 
 
-def finish(outcome: KernelOutcome, variant: Variant, *,
-           budget: bool = True) -> tuple[bool, list | None]:
+def finish(outcome: KernelOutcome, variant: Variant) -> tuple[bool, list | None]:
     """The decision and a witness on the kernel, ready for lifting.
 
     An R1 or R5 verdict answers directly; an R5 packing verdict's witness is
@@ -1119,7 +1112,7 @@ def finish(outcome: KernelOutcome, variant: Variant, *,
         if variant is Variant.ETP and outcome.verdict_rule == "R5":
             return True, list(outcome.packing.triangles)
         return True, []
-    return decide(outcome.instance, budget=budget)
+    return decide(outcome.instance)
 
 
 # -- solution lifting ---------------------------------------------------------

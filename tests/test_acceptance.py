@@ -126,7 +126,7 @@ def oracle_sweep():
                 truth = (etp.optimum >= k if variant is Variant.ETP
                          else etc.optimum <= k)
                 out = kernelize(Instance(g, k, variant))
-                got, witness_base = finish(out, variant, budget=False)
+                got, witness_base = finish(out, variant)
                 data["decisions"] += 1
                 if got != truth:
                     data["mismatches"].append((spec, k, variant.value,

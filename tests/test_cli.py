@@ -253,6 +253,7 @@ class TestVerifyCommand:
         (None, ["--kind", "nope"]),
         (None, ["--kind", "erdos_renyi", "--n", "-3"]),
         (None, ["--kind", "crown_gadgets", "--fans", "1"]),
+        ([{"kind": "erdos_renyi", "seed": 1, "n": 8, "pp": 0.5}], None),
     ])
     def test_bad_spec_is_input_error(self, tmp_path, capsys, monkeypatch,
                                      manifest, flags):

@@ -43,31 +43,36 @@ def brute_max_matching_size(adj: dict) -> int:
     return best(0, 0)
 
 
+def right_side(span: dict) -> list:
+    """The right side of a span map: every edge it spans, sorted."""
+    return sorted({e for es in span.values() for e in es})
+
+
 class TestBuildBipartite:
     def test_two_fans_over_one_edge(self):
         g = spanned_triangle(2)  # fans 3 and 4 over edge (0,1)
-        b = build_span_bipartite(g, {3, 4}, {(0, 1)})
-        assert b.left == [3, 4]
-        assert b.right == [(0, 1)]
-        assert b.adj == {3: [(0, 1)], 4: [(0, 1)]}
+        span = build_span_bipartite(g, {3, 4}, {(0, 1)})
+        assert list(span) == [3, 4]
+        assert right_side(span) == [(0, 1)]
+        assert span == {3: [(0, 1)], 4: [(0, 1)]}
 
     def test_adjacent_candidates_are_excluded(self):
         g = spanned_triangle(2)
         g.add_edge(3, 4)
-        b = build_span_bipartite(g, {3, 4}, {(0, 1)})
-        assert b.left == []
+        span = build_span_bipartite(g, {3, 4}, {(0, 1)})
+        assert list(span) == []
 
     def test_empty_head_side(self):
         g = spanned_triangle(1)
-        b = build_span_bipartite(g, {3}, set())
-        assert b.left == [] and b.right == []
+        span = build_span_bipartite(g, {3}, set())
+        assert list(span) == [] and right_side(span) == []
 
     def test_vertex_spanning_foreign_edge_is_excluded(self):
         # 3 spans (0,1) and (1,2); restricting heads to (0,1) drops it
         g = spanned_triangle(1)
         g.add_edge(3, 2)
-        b = build_span_bipartite(g, {3}, {(0, 1)})
-        assert b.left == []
+        span = build_span_bipartite(g, {3}, {(0, 1)})
+        assert list(span) == []
 
     def test_candidate_overlapping_heads_is_a_contract_violation(self):
         g = spanned_triangle(1)
@@ -78,8 +83,8 @@ class TestBuildBipartite:
 class TestMaxMatching:
     def test_two_lefts_one_right(self):
         g = spanned_triangle(2)
-        b = build_span_bipartite(g, {3, 4}, {(0, 1)})
-        assert len(max_matching(b)) == 1
+        span = build_span_bipartite(g, {3, 4}, {(0, 1)})
+        assert len(max_matching(span)) == 1
 
     def test_complete_two_by_two(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
@@ -87,12 +92,12 @@ class TestMaxMatching:
             for e in ((0, 1), (2, 3)):
                 g.add_edge(fan, e[0])
                 g.add_edge(fan, e[1])
-        b = build_span_bipartite(g, {4, 5}, {(0, 1), (2, 3)})
-        assert len(max_matching(b)) == 2
+        span = build_span_bipartite(g, {4, 5}, {(0, 1), (2, 3)})
+        assert len(max_matching(span)) == 2
 
     def test_empty(self):
-        b = build_span_bipartite(Graph.from_edges([(0, 1)]), set(), set())
-        assert max_matching(b) == {}
+        span = build_span_bipartite(Graph.from_edges([(0, 1)]), set(), set())
+        assert max_matching(span) == {}
 
     @given(st.integers(2, 12), st.integers(2, 6), st.randoms())
     @settings(max_examples=120)
@@ -111,10 +116,10 @@ class TestMaxMatching:
                     spanned.append(e)
             if spanned:
                 adj[fan] = spanned
-        b = build_span_bipartite(g, set(range(n_left)), set(head_edges))
-        assert {a: sorted(es) for a, es in b.adj.items()} == {
+        span = build_span_bipartite(g, set(range(n_left)), set(head_edges))
+        assert {a: sorted(es) for a, es in span.items()} == {
             a: sorted(es) for a, es in adj.items()}
-        assert len(max_matching(b)) == brute_max_matching_size(adj)
+        assert len(max_matching(span)) == brute_max_matching_size(adj)
 
     def test_long_augmenting_path_under_a_low_recursion_limit(self):
         # Lefts 1..n-1 span heads e_i and e_(i+1) and first take e_i; left n
@@ -127,16 +132,16 @@ class TestMaxMatching:
             for j in spans:
                 g.add_edge(a, head[j][0])
                 g.add_edge(a, head[j][1])
-        b = build_span_bipartite(g, set(range(1, n + 1)), set(head.values()))
+        span = build_span_bipartite(g, set(range(1, n + 1)), set(head.values()))
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 30)
         try:
-            matching = max_matching(b)
+            matching = max_matching(span)
         finally:
             sys.setrecursionlimit(old)
         assert len(matching) == n
         assert len(set(matching.values())) == n
-        assert all(e in b.adj[a] for a, e in matching.items())
+        assert all(e in span[a] for a, e in matching.items())
 
 
 def brute_force_crowns(g: Graph, candidates: set, heads: set) -> list:
@@ -167,8 +172,8 @@ def brute_force_crowns(g: Graph, candidates: set, heads: set) -> list:
 class TestExtractCrown:
     def test_deficiency_case(self):
         g = spanned_triangle(2)
-        b = build_span_bipartite(g, {3, 4}, {(0, 1)})
-        fc = extract_crown(b, max_matching(b))
+        span = build_span_bipartite(g, {3, 4}, {(0, 1)})
+        fc = extract_crown(g, span, max_matching(span))
         assert fc is not None
         assert fc.crown == {3, 4}
         assert fc.head == {(0, 1)}
@@ -178,20 +183,20 @@ class TestExtractCrown:
     def test_saturated_without_closure_is_absent(self):
         # one candidate spanning two heads: N({a}) can't be saturated
         g = Graph.from_edges([(0, 1), (2, 3), (9, 0), (9, 1), (9, 2), (9, 3)])
-        b = build_span_bipartite(g, {9}, {(0, 1), (2, 3)})
-        assert b.left == [9] and len(b.right) == 2
-        m = max_matching(b)
+        span = build_span_bipartite(g, {9}, {(0, 1), (2, 3)})
+        assert list(span) == [9] and len(right_side(span)) == 2
+        m = max_matching(span)
         assert len(m) == 1
-        assert extract_crown(b, m) is None
+        assert extract_crown(g, span, m) is None
         # exhaustive check: no valid crown exists at all
         assert brute_force_crowns(g, {9}, {(0, 1), (2, 3)}) == []
 
     def test_saturated_closure_case(self):
         g = spanned_triangle(1)
-        b = build_span_bipartite(g, {3}, {(0, 1)})
-        m = max_matching(b)
+        span = build_span_bipartite(g, {3}, {(0, 1)})
+        m = max_matching(span)
         assert m == {3: (0, 1)}
-        fc = extract_crown(b, m)
+        fc = extract_crown(g, span, m)
         assert fc is not None and fc.crown == {3} and fc.head == {(0, 1)}
         assert verify_crown(g, fc)
         # matches the exhaustive search
@@ -207,9 +212,9 @@ class TestExtractCrown:
             g.add_edge(6 + fans, 8 + fans)
             g.add_edge(7 + fans, 8 + fans)
         candidates = {3 + j for j in range(fans)}
-        b = build_span_bipartite(g, candidates, {(0, 1)})
-        assert len(b.left) == fans > len(b.right)
-        fc = extract_crown(b, max_matching(b))
+        span = build_span_bipartite(g, candidates, {(0, 1)})
+        assert len(span) == fans > len(right_side(span))
+        fc = extract_crown(g, span, max_matching(span))
         assert fc is not None and verify_crown(g, fc)
         assert fc.crown >= candidates
 
@@ -258,8 +263,8 @@ def apply_crown_event(inst: Instance, fc: FatHeadCrown) -> Instance:
 class TestApplyCrown:
     def test_decision_preserved_for_both_problems(self):
         g = spanned_triangle(2)
-        b = build_span_bipartite(g, {3, 4}, {(0, 1)})
-        fc = extract_crown(b, max_matching(b))
+        span = build_span_bipartite(g, {3, 4}, {(0, 1)})
+        fc = extract_crown(g, span, max_matching(span))
         for variant in (Variant.ETP, Variant.ETC):
             for k in range(0, 4):
                 inst = Instance(g, k, variant)

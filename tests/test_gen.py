@@ -30,6 +30,10 @@ class TestDeterminism:
         spec = GenSpec("crown_gadgets", seed=9, count=2, fans=4, noise=1)
         assert GenSpec.from_json(spec.to_json()) == spec
 
+    def test_spec_json_with_an_unknown_key_is_refused(self):
+        with pytest.raises(ValueError, match="unknown key 'pp'"):
+            GenSpec.from_json({"kind": "erdos_renyi", "seed": 1, "n": 8, "pp": 0.5})
+
 
 class TestGuarantees:
     def test_planted_packing_keeps_its_triangles(self):

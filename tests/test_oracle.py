@@ -189,8 +189,8 @@ class TestDecide:
         big = disjoint_triangles(61)  # 183 vertices, 61 triangles
         with pytest.raises(OracleBudgetError):
             decide(Instance(big, 3, Variant.ETP))
-        answer, witness = decide(Instance(big, 61, Variant.ETP), budget=False)
-        assert answer is True and len(witness) == 61
+        res = solve_etp_exact(big, limit=61, budget=False)
+        assert res.optimum >= 61 and len(res.witness) == 61
 
     def test_small_vertex_count_is_always_accepted(self):
         assert decide(Instance(complete_graph(6), 1, Variant.ETP))[0] is True

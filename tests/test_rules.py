@@ -688,10 +688,20 @@ class TestKernelize:
         ({"rule": "R9", "crown": {"vertices": [3], "head": [[0, 1]],
                                   "witness": [[3, [0, 1]]], "heads": []}},
          "crown has unknown key 'heads'"),
+        ({"rule": "R2", "quad": [0, 1, 2, 3], "packing_added": [[0, 1, 2]]},
+         "R2 event has unknown key 'quad'"),
+        ({"rule": "R6", "packing_removed": [[0, 1, 2]], "packing_added": [],
+          "split": {"vertex": 0, "part1": [[0, 1]], "part2": [[0, 2]],
+                    "minted": [3, 4]}},
+         "R6 event has unknown key 'split'"),
+        ({"rule": "R9", "removed_edges": [[0, 1]],
+          "crown": {"vertices": [3], "head": [[0, 1]], "witness": [[3, [0, 1]]]}},
+         "R9 event has unknown key 'removed_edges'"),
     ], ids=["short-edge", "loop-edge", "negative-vertex", "string-vertex",
             "bool-vertex", "float-k-delta", "short-quad", "short-triangle",
             "one-minted", "flat-witness", "crown-not-object", "misspelt-key",
-            "split-extra-key", "crown-extra-key"])
+            "split-extra-key", "crown-extra-key", "r2-with-quad", "r6-with-split",
+            "r9-with-removed-edges"])
     def test_bad_trace_values_are_value_errors(self, event, message):
         text = json.dumps({"events": [{"rule": "R2"}, event]})
         with pytest.raises(ValueError, match="trace event 1: .*" + message):
@@ -983,6 +993,18 @@ class TestResumedSwapPhase:
         for spec in SWAP_HEAVY[:2]:
             calls = checked_run(generate(spec))
             assert calls["find_augment_one"] > 20 and calls["find_revertex"] > 5
+
+    @given(st.one_of(reshaped(graphs(max_n=10)), reshaped(glued_graphs())))
+    @settings(max_examples=80, deadline=None)
+    def test_kept_state_answers_as_a_fresh_scan_on_the_sets(self, g):
+        with masks_never_fit():
+            checked_run(g)
+
+    def test_kept_state_answers_as_a_fresh_scan_on_swap_heavy_runs_on_the_sets(self):
+        with masks_never_fit():
+            for spec in SWAP_HEAVY[:2]:
+                calls = checked_run(generate(spec))
+                assert calls["find_augment_one"] > 20 and calls["find_revertex"] > 5
 
     @pytest.mark.parametrize("spec", [GenSpec("erdos_renyi", 1, n=30, p=0.2),
                                       GenSpec("erdos_renyi", 2, n=50, p=0.2)])
@@ -1496,7 +1518,7 @@ class TestLiftSolution:
             for variant, opt in ((Variant.ETP, etp), (Variant.ETC, etc)):
                 k = opt  # the tight yes-instance
                 out = kernelize(Instance(g, k, variant))
-                answer, base = finish(out, variant, budget=False)
+                answer, base = finish(out, variant)
                 if not answer:
                     raise AssertionError("equivalence broken")
                 witness = lift_solution(out.trace, base, variant)

@@ -50,3 +50,30 @@ def test_every_method_of_an_unexported_class_has_a_caller():
               if isinstance(node, DEFINITIONS) and not node.name.startswith("__")
               and node.name not in used]
     assert not unused, unused
+
+
+# records that ``cli`` writes whole with ``dataclasses.asdict``, so every
+# field is read there without being named
+WRITTEN_WHOLE = {"RunManifest"}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(isinstance(m, ast.Name) and m.id == "dataclass" for m in marks)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases))
+
+
+def test_every_field_of_an_unexported_record_is_read():
+    # a field that nothing reads as an attribute is built for no one
+    trees, _ = _trees_and_names()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{cls.name}.{node.target.id}" for name, tree in trees.items()
+              for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and _is_record(cls)
+              and cls.name not in trikernel.__all__ and cls.name not in WRITTEN_WHOLE
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and node.target.id not in read]
+    assert not unread, unread
