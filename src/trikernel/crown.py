@@ -34,20 +34,37 @@ def build_span_bipartite(g: Graph, vertices: set[int],
     ``vertices``, span at least one edge of ``edges``, and span nothing
     outside ``edges`` (a vertex spanning a foreign edge can never sit in a
     crown whose head is restricted to ``edges``, so dropping it loses no
-    decomposition).
+    decomposition).  Each list is in :func:`graph.spanned_edges` order, and
+    a candidate is dropped at the first foreign edge it spans.
     """
     edges = {edge_key(*e) for e in edges}
     endpoint = {v for e in edges for v in e}
-    if vertices & endpoint:
+    if not vertices.isdisjoint(endpoint):
         raise GraphError("candidate crown vertices intersect head edge endpoints")
+    adj = g.adj
     span: dict[int, list[Edge]] = {}
     for a in sorted(vertices):
-        if g.adj[a] & vertices:
-            continue
-        spanned = spanned_edges(g, a)
-        if spanned and all(e in edges for e in spanned):
-            span[a] = spanned
+        if adj[a].isdisjoint(vertices):
+            spanned = _spanned_within(adj, adj[a], edges)
+            if spanned:
+                span[a] = spanned
     return span
+
+
+def _spanned_within(adj: dict[int, set[int]], nbrs: set[int],
+                    edges: set[Edge]) -> list[Edge] | None:
+    """The edges between pairs of ``nbrs``, in :func:`graph.spanned_edges`
+    order, or None at the first one outside ``edges``."""
+    nbrs = sorted(nbrs)
+    out = []
+    for i, u in enumerate(nbrs):
+        au = adj[u]
+        for w in nbrs[i + 1:]:
+            if w in au:
+                if (u, w) not in edges:
+                    return None
+                out.append((u, w))
+    return out
 
 
 def max_matching(span: dict[int, list[Edge]]) -> dict[int, Edge]:

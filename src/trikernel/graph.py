@@ -15,9 +15,10 @@ Beside its adjacency sets a graph can hold a second, derived view of them
 mask of neighbours per vertex, so that a common-neighbour question is one
 ``&`` of two ints.  Bits stand for vertex ranks, never raw ids, so any
 non-negative id works.  The view is built by the first query that asks for
-it (:meth:`Graph.masks`); that build is the one write a query makes, and it
-is idempotent: the view follows from ``adj`` alone and no answer depends on
-whether it was built before.
+it (:meth:`Graph.masks`; in a kernelization run, Rule 3's scan); that
+build is the one write a query makes, and it is idempotent: the view
+follows from ``adj`` alone and no answer depends on whether it was built
+before.
 """
 
 from __future__ import annotations
@@ -196,7 +197,11 @@ class Graph:
         return self.adj[u] & self.adj[v]
 
     def masks(self) -> Masks:
-        """The ranks and neighbour masks, built from ``adj`` on first use."""
+        """The ranks and neighbour masks, built from ``adj`` on first use.
+
+        In a kernelization run the first use is Rule 3's scan: Rule 2 reads
+        only the adjacency sets, so the view is built over what the run's
+        first Rule 2 sweep left and that sweep's deletions pay no upkeep."""
         if self._masks is None:
             self._masks = Masks(self.adj, self._m)
         return self._masks
@@ -317,11 +322,23 @@ class Variant(str, Enum):
     ETC = "etc"  # delete at most k edges to destroy all triangles
 
 
+def as_variant(value: object) -> Variant:
+    """``value`` as a :class:`Variant`: ``"etp"`` is ``Variant.ETP``, and
+    an unknown value raises ``ValueError``.  A ``Variant`` passes through
+    with no enum lookup."""
+    return value if type(value) is Variant else Variant(value)
+
+
 @dataclass
 class Instance:
     graph: Graph
     k: int
     variant: Variant
+
+    def __post_init__(self) -> None:
+        # every verdict test reads ``variant is Variant.ETP``; a plain string
+        # would hash like its member but read as ETC
+        self.variant = as_variant(self.variant)
 
 
 # -- span queries ------------------------------------------------------------

@@ -22,21 +22,23 @@ the swap freed can join the packing, and re-maximalization tries just
 those.  The packing is checked in full at its first swap, and after that
 only in the triangles each swap added (:func:`_fixpoint`).
 
-The structural scans and the greedy packing ask common-neighbour
+Rules 3 and 4, the greedy packing and the spanners ask common-neighbour
 questions, and answer them on the working graph's neighbour masks
-(:meth:`Graph.masks`), built by the run's first scan and kept up to date by
-every event; a graph too large and sparse for masks is answered on its
-adjacency sets, with the same answers.  R2 and R3 share one body for
-either format: ``&`` and a count work on ints and sets alike.  Only R4's
-search and the spanners keep a set body beside the mask one, which a
-shared body would slow down; the greedy packing's set side is
-:func:`packing.remaximalize`'s full pass.  R3 and R4
-walk the view's positions, which are one ascending vertex order per run:
-the sorted input vertices, with each split's two minted ids appended (they
-exceed every id so far).  Vertices that are gone are skipped, and R4
-resumes from the place of the vertex it last split, so no scan sorts the
-graph's vertices.  The caller's graph never gets masks from a run: the run
-works on a copy of it.
+(:meth:`Graph.masks`), built by the run's first R3 scan and kept up to date
+by every later event; a graph too large and sparse for masks is answered
+on its adjacency sets, with the same answers.  Rule 2 reads only the sets
+(:func:`find_prunable`): the run's first sweep deletes most of a large
+sparse input, so the view is built over what it left, and its deletions
+pay no mask upkeep.  R3 has one body for either format: ``&`` and a count
+work on ints and sets alike.  Only R4's search and the spanners keep a
+set body beside the mask one, which a shared body would slow down; the
+greedy packing's set side is :func:`packing.remaximalize`'s full pass.  R3
+and R4 walk the view's positions, which are one ascending vertex order per
+run: the sorted vertices the view was built over, with each split's two
+minted ids appended (they exceed every id so far).  Vertices that are gone
+are skipped, and R4 resumes from the place of the vertex it last split, so
+no scan sorts the graph's vertices.  The caller's graph never gets masks
+from a run: the run works on a copy of it.
 
 The swap phase resumes too: the graph is fixed until the next graph event,
 so what a swap leaves true is kept (:func:`_after_swap`).  The spanners
@@ -83,7 +85,8 @@ import json
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .crown import (
@@ -101,6 +104,7 @@ from .graph import (
     Masks,
     Triangle,
     Variant,
+    as_variant,
     covers,
     edge_key,
     packs,
@@ -266,61 +270,95 @@ def _witness_pair(x: object) -> tuple[int, Edge]:
 
 def _template(shape, level: int) -> str:
     """The ``%`` template of one value of ``shape`` (``int`` or a tuple of
-    shapes) as ``json.dumps(..., indent=1)`` writes it at ``level``."""
+    shapes, written as a list) as ``json.dumps(..., indent=1)`` writes it
+    at ``level``."""
     if shape is int:
         return "%d"
+    if not shape:
+        return "[]"
     pad = "\n" + " " * (level + 1)
     return ("[" + pad + ("," + pad).join(_template(s, level + 1) for s in shape)
             + "\n" + " " * level + "]")
 
 
-def _list_writer(shape, level: int):
-    """Writes a list of ``shape`` values whose ``[`` is at ``level``."""
-    item = _template(shape, level + 1)
-    pad = "\n" + " " * (level + 1)
-    head, sep, tail = "[" + pad, "," + pad, "\n" + " " * level + "]"
-    return lambda values: (head + sep.join(map(item.__mod__, values)) + tail
-                           if values else "[]")
-
-
-# an event is at level 2 of a trace, its fields at 3, split and crown fields at 4
-_INTS_3, _INTS_4 = _list_writer(int, 3), _list_writer(int, 4)
-_EDGES_3, _EDGES_4 = _list_writer((int, int), 3), _list_writer((int, int), 4)
-_TRIANGLES_3 = _list_writer((int, int, int), 3)
-_WITNESS_4 = _list_writer((int, (int, int)), 4)
+_EDGE, _TRIANGLE, _WITNESS = (int, int), (int, int, int), (int, (int, int))
+# the event shapes whose templates are kept; a run's swap and split events
+# repeat a few shapes, and a long Rule 2 list rarely recurs
+_TEMPLATES = 256
 _string = json.encoder.encode_basestring_ascii
+_flat = chain.from_iterable
+
+
+@lru_cache(maxsize=_TEMPLATES)
+def _event_template(shape: tuple) -> str:
+    """The ``%`` template of the events of ``shape`` (:func:`_event_text`);
+    an event is at level 2 of a trace, its fields at 3, split and crown
+    fields at 4."""
+    rule, vertices, edges, split, quad, crown, swap = shape
+    fields = ['"rule": ' + _string(rule).replace("%", "%%"), '"k_delta": %d']
+    if vertices:
+        fields.append('"removed_vertices": ' + _template((int,) * vertices, 3))
+    if edges:
+        fields.append('"removed_edges": ' + _template((_EDGE,) * edges, 3))
+    if split is not None:
+        part1, part2, minted = split
+        fields.append(
+            '"split": {\n    "vertex": %%d,\n    "part1": %s,\n    "part2": %s,'
+            '\n    "minted": %s\n   }'
+            % (_template((_EDGE,) * part1, 4), _template((_EDGE,) * part2, 4),
+               _template((int,) * minted, 4)))
+    if quad is not None:
+        fields.append('"quad": ' + _template((int,) * quad, 3))
+    if crown is not None:
+        members, head, witness = crown
+        fields.append(
+            '"crown": {\n    "vertices": %s,\n    "head": %s,\n    "witness": %s\n   }'
+            % (_template((int,) * members, 4), _template((_EDGE,) * head, 4),
+               _template((_WITNESS,) * witness, 4)))
+    if swap is not None:
+        removed, added = swap
+        fields.append('"packing_removed": ' + _template((_TRIANGLE,) * removed, 3))
+        fields.append('"packing_added": ' + _template((_TRIANGLE,) * added, 3))
+    return "{\n   " + ",\n   ".join(fields) + "\n  }"
 
 
 def _event_text(ev: RuleEvent) -> str:
-    """``ev.to_json()`` as ``json.dumps(..., indent=1)`` writes it at level 2."""
-    fields = ['"rule": ' + _string(ev.rule), '"k_delta": %d' % ev.k_delta]
-    if ev.removed_vertices:
-        fields.append('"removed_vertices": ' + _INTS_3(ev.removed_vertices))
-    if ev.removed_edges:
-        fields.append('"removed_edges": ' + _EDGES_3(ev.removed_edges))
+    """``ev.to_json()`` as ``json.dumps(..., indent=1)`` writes it at level 2:
+    one ``%`` of the ints it writes over the template of its shape, the
+    rule and the length of every list it writes."""
+    values = [ev.k_delta, *ev.removed_vertices, *_flat(ev.removed_edges)]
+    split = quad = crown = swap = None
     if ev.split_vertex is not None:
-        fields.append(
-            '"split": {\n    "vertex": %d,\n    "part1": %s,\n    "part2": %s,'
-            '\n    "minted": %s\n   }'
-            % (ev.split_vertex, _EDGES_4(ev.split_part1), _EDGES_4(ev.split_part2),
-               _INTS_4(ev.split_minted or ())))
+        minted = ev.split_minted or ()
+        split = len(ev.split_part1), len(ev.split_part2), len(minted)
+        values += (ev.split_vertex, *_flat(ev.split_part1), *_flat(ev.split_part2),
+                   *minted)
     if ev.quad is not None:
-        fields.append('"quad": ' + _INTS_3(ev.quad))
+        quad = len(ev.quad)
+        values += ev.quad
     if ev.crown_vertices:
-        fields.append(
-            '"crown": {\n    "vertices": %s,\n    "head": %s,\n    "witness": %s\n   }'
-            % (_INTS_4(ev.crown_vertices), _EDGES_4(ev.head_edges),
-               _WITNESS_4(tuple((c, *e) for c, e in ev.crown_witness))))
+        crown = len(ev.crown_vertices), len(ev.head_edges), len(ev.crown_witness)
+        values += (*ev.crown_vertices, *_flat(ev.head_edges),
+                   *_flat((c, *e) for c, e in ev.crown_witness))
     if ev.packing_removed or ev.packing_added:
-        fields.append('"packing_removed": ' + _TRIANGLES_3(ev.packing_removed))
-        fields.append('"packing_added": ' + _TRIANGLES_3(ev.packing_added))
-    return "{\n   " + ",\n   ".join(fields) + "\n  }"
+        swap = len(ev.packing_removed), len(ev.packing_added)
+        values += (*_flat(ev.packing_removed), *_flat(ev.packing_added))
+    shape = (ev.rule, len(ev.removed_vertices), len(ev.removed_edges),
+             split, quad, crown, swap)
+    return _event_template(shape) % tuple(values)
 
 
 def trace_to_json(trace: Sequence[RuleEvent]) -> str:
     """``json.dumps({"events": [ev.to_json() for ev in trace]}, indent=1)``,
     byte for byte, for events whose fields hold ints (as every event built by
     the package or read by :func:`trace_from_json` does).
+
+    An event is written with one ``%`` of its ints over the template of its
+    shape: its rule and the length of every list it writes, ``minted``
+    included.  The template places each field at its fixed place at level 2
+    of the document, and is built once per shape and kept in a
+    least-recently-used cache of ``_TEMPLATES`` shapes, shared by all
+    threads.
 
     Each thread keeps the text of every event of the last non-empty trace it
     wrote, so a trace that shares events with it (the per-k traces of one
@@ -395,22 +433,22 @@ def find_prunable(g: Graph) -> tuple[list[int], list[Edge]] | None:
     One application removes the whole set (deleting triangle-free material
     never destroys a triangle, so the batch is the single-deletion fixpoint).
     Returned edges exclude those incident to returned vertices.  An edge is
-    dead when its ends' neighbour masks (or sets, where the masks do not
-    fit) do not meet.
+    dead when its ends' adjacency sets do not meet.  The sweep reads only
+    the sets and never builds the neighbour view: a run's first sweep meets
+    the whole input and deletes most of a large sparse one, so the view is
+    first built by Rule 3, over what the sweep left.
     """
-    adj, of = g.adj, g.masks().of
-    nbhd = adj if of is None else of
+    adj = g.adj
     live: set[int] = set()
     dead_edges: list[Edge] = []
     for u, nu in adj.items():
-        mu = nbhd[u]
         for v in nu:
             if u < v:
-                if mu & nbhd[v]:
+                if nu.isdisjoint(adj[v]):
+                    dead_edges.append((u, v))
+                else:
                     live.add(u)
                     live.add(v)
-                else:
-                    dead_edges.append((u, v))
     if not dead_edges and len(live) == len(adj):
         return None
     # a vertex is dead when no edge at it is live; its edges go with it
@@ -1105,7 +1143,10 @@ def finish(outcome: KernelOutcome, variant: Variant) -> tuple[bool, list | None]
 
     An R1 or R5 verdict answers directly; an R5 packing verdict's witness is
     the working packing.  A reduced instance goes to :func:`oracle.decide`.
+    ``variant`` may be a ``Variant`` or its value; an unknown value raises
+    ``ValueError``.
     """
+    variant = as_variant(variant)
     if outcome.verdict == "no":
         return False, None
     if outcome.verdict == "yes":
@@ -1130,9 +1171,10 @@ def lift_solution(trace: Sequence[RuleEvent], reduced_solution: Sequence,
     mints fresh ids, and an event names only vertices present when it fires,
     so no split renames what an earlier event contributed.  An item of
     ``reduced_solution`` that is not a triangle (packing) or edge (covering)
-    of non-negative integer vertex ids raises ``GraphError`` naming it.
+    of non-negative integer vertex ids raises ``GraphError`` naming it, and
+    an unknown ``variant`` value raises ``ValueError``.
     """
-    etp = variant is Variant.ETP
+    etp = as_variant(variant) is Variant.ETP
     items = _solution_items(reduced_solution, 3 if etp else 2)
     origin: dict[int, int] = {}
     for ev in trace:

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 from itertools import combinations, permutations
 
@@ -13,9 +14,11 @@ from trikernel.crown import (
     max_matching,
     verify_crown,
 )
-from trikernel.graph import Graph, GraphError, Instance, Variant
+from trikernel.gen import corpus_specs, generate
+from trikernel.graph import Graph, GraphError, Instance, Variant, edge_key, spanned_edges
 from trikernel.oracle import solve_etc_exact, solve_etp_exact
-from trikernel.rules import RuleEvent, apply_event
+from trikernel.packing import labeled_edges
+from trikernel.rules import RuleEvent, apply_event, kernelize
 
 from conftest import spanned_triangle
 
@@ -78,6 +81,58 @@ class TestBuildBipartite:
         g = spanned_triangle(1)
         with pytest.raises(GraphError):
             build_span_bipartite(g, {0, 3}, {(0, 1)})
+
+
+def reference_span_bipartite(g: Graph, vertices: set, edges: set) -> dict:
+    """The span map by its definition: list every edge a candidate spans,
+    then keep the candidate only if all of them are head edges."""
+    edges = {edge_key(*e) for e in edges}
+    span = {}
+    for a in sorted(vertices):
+        if g.adj[a] & vertices:
+            continue
+        spanned = spanned_edges(g, a)
+        if spanned and all(e in edges for e in spanned):
+            span[a] = spanned
+    return span
+
+
+class TestSpanMapAgainstReference:
+    """``build_span_bipartite`` stops listing a candidate's edges at the
+    first foreign one; the map must be the one the full listing gives, keys
+    and lists in the same order."""
+
+    def test_a_candidate_spanning_head_edges_before_a_foreign_one_is_dropped(self):
+        # 9 spans head (0, 1), then foreign (2, 3); 8 spans (0, 1) alone
+        g = Graph.from_edges([(0, 1), (2, 3), (8, 0), (8, 1),
+                              (9, 0), (9, 1), (9, 2), (9, 3)])
+        span = build_span_bipartite(g, {8, 9}, {(0, 1)})
+        assert list(span.items()) == list(
+            reference_span_bipartite(g, {8, 9}, {(0, 1)}).items())
+        assert span == {8: [(0, 1)]}
+
+    def test_corpus_fixpoints_give_the_reference_map(self):
+        rng = random.Random(25)
+        cases = dropped = 0
+        for spec in corpus_specs(31, 60, "kernel"):
+            out = kernelize(Instance(generate(spec), 10**6, Variant.ETP))
+            if out.verdict != "reduced":
+                continue
+            g = out.instance.graph
+            edges = g.edges()
+            heads = [labeled_edges(g, out.packing)]  # what Rule 9 asks
+            heads += [set(rng.sample(edges, rng.randint(0, len(edges))))
+                      for _ in range(3)]
+            for head in heads:
+                vertices = g.vertex_set() - {v for e in head for v in e}
+                span = build_span_bipartite(g, vertices, head)
+                ref = reference_span_bipartite(g, vertices, head)
+                assert list(span.items()) == list(ref.items()), spec
+                cases += 1
+                dropped += sum(1 for a in vertices
+                               if a not in ref and spanned_edges(g, a)
+                               and set(spanned_edges(g, a)) & head)
+        assert cases >= 100 and dropped >= 20
 
 
 class TestMaxMatching:

@@ -612,6 +612,27 @@ class TestRuleCrownReduce:
 
 
 class TestKernelize:
+    def test_a_variant_value_reads_as_its_member(self):
+        """``Variant`` is a ``str`` enum, so ``"etp"`` hashes like
+        ``Variant.ETP``; every entry point reads it as that member, and an
+        unknown value is refused."""
+        g = disjoint_triangles(2)
+        assert kernelize(Instance(g, 1, "etp")).verdict == "yes"  # R5
+        assert kernelize(Instance(g, 0, "etp")).verdict == "yes"  # R1
+        assert kernelize(Instance(g, 1, "etc")).verdict == "no"  # R5
+        assert Instance(g, 1, "etc").variant is Variant.ETC
+        out = kernelize(Instance(g, 1, Variant.ETP))
+        assert out.verdict_rule == "R5"
+        assert finish(out, "etp") == finish(out, Variant.ETP)
+        assert finish(out, "etp")[1] == list(out.packing.triangles)
+        solution = [(0, 1, 2)]
+        assert (lift_solution([], solution, "etp")
+                == lift_solution([], solution, Variant.ETP) == solution)
+        for call in (lambda: Instance(g, 1, "ETP"), lambda: finish(out, "pack"),
+                     lambda: lift_solution([], solution, "pack")):
+            with pytest.raises(ValueError):
+                call()
+
     def test_k4_examples(self):
         assert kernelize(Instance(complete_graph(4), 1, Variant.ETP)).verdict == "yes"
         assert kernelize(Instance(complete_graph(4), 1, Variant.ETC)).verdict == "no"
@@ -1031,8 +1052,9 @@ class TestResumedSwapPhase:
 
     def test_a_run_builds_its_view_once(self, monkeypatch):
         """A run changes its working graph only through mutators that keep
-        the neighbour view, so a k-free run builds it once, on its copy:
-        the caller's graph gets none."""
+        the neighbour view, so a k-free run builds it once, on its copy,
+        over what its opening R2 sweep left: the caller's graph gets
+        none."""
         import trikernel.graph as graph_mod
         builds = []
 
@@ -1048,7 +1070,8 @@ class TestResumedSwapPhase:
             g = generate(spec)
             builds.clear()
             out = _in_fresh_thread(lambda: kernelize(Instance(g, 10**6, Variant.ETP)))
-            assert out.verdict == "reduced" and builds == [g.n], spec
+            assert out.verdict == "reduced", spec
+            assert builds == [_first_view_size(g, out.trace)], spec
             assert g._masks is None
 
     @pytest.mark.parametrize("bad", ["outside", "shared-edge"])
@@ -1259,8 +1282,9 @@ class TestPausedRuns:
 
     def test_a_sweep_builds_masks_once_and_never_on_the_input(self, monkeypatch):
         """Every k and both problems on one graph drive one run, which
-        builds neighbour masks once, on its working copy: the events keep
-        them up to date, and the caller's graph gets none."""
+        builds neighbour masks once, on its working copy, over what its
+        opening R2 sweep left: the events keep them up to date, and the
+        caller's graph gets none."""
         import trikernel.graph as graph_mod
         builds = []
 
@@ -1277,10 +1301,13 @@ class TestPausedRuns:
             g = generate(spec)
             builds.clear()
             # a thread of its own keeps no run of an equal graph
-            seen |= _in_fresh_thread(lambda: {
-                ev.rule for k in range(g.n + 1) for variant in VARIANTS
-                for ev in kernelize(Instance(g, k, variant)).trace})
-            assert builds == [g.n] and g._masks is None, spec
+            traces = _in_fresh_thread(lambda: [
+                kernelize(Instance(g, k, variant)).trace
+                for k in range(g.n + 1) for variant in VARIANTS])
+            seen |= {ev.rule for trace in traces for ev in trace}
+            longest = max(traces, key=len)
+            assert builds == [_first_view_size(g, longest)], spec
+            assert g._masks is None, spec
         assert {"R2", "R3", "R4", "R8", "R9"} <= seen
 
     def test_a_rebound_finder_is_used_on_a_kept_graph(self, monkeypatch):
@@ -1332,6 +1359,15 @@ class TestPausedRuns:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(results[call] == [serial[call]] * 4 for call in serial)
+
+
+def _first_view_size(g: Graph, trace) -> int:
+    """The vertex count a run's neighbour view is built over: Rule 2 reads
+    only the adjacency sets, so a run that opens with an R2 sweep builds
+    the view over what the sweep left, and any other run over ``g``."""
+    if trace and trace[0].rule == "R2":
+        return g.n - len(trace[0].removed_vertices)
+    return g.n
 
 
 def _in_fresh_thread(fn):
