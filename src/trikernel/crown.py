@@ -24,7 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Edge, Graph, GraphError, edge_key, packs, spanned_edges, triangle_key
+from .graph import (Edge, Graph, GraphError, edge_key, iter_spanned_edges, packs,
+                    spanned_edges, triangle_key)
 
 
 def build_span_bipartite(g: Graph, vertices: set[int],
@@ -41,30 +42,18 @@ def build_span_bipartite(g: Graph, vertices: set[int],
     endpoint = {v for e in edges for v in e}
     if not vertices.isdisjoint(endpoint):
         raise GraphError("candidate crown vertices intersect head edge endpoints")
-    adj = g.adj
     span: dict[int, list[Edge]] = {}
     for a in sorted(vertices):
-        if adj[a].isdisjoint(vertices):
-            spanned = _spanned_within(adj, adj[a], edges)
-            if spanned:
-                span[a] = spanned
+        if g.adj[a].isdisjoint(vertices):
+            spanned = []
+            for e in iter_spanned_edges(g, a):
+                if e not in edges:
+                    break
+                spanned.append(e)
+            else:
+                if spanned:
+                    span[a] = spanned
     return span
-
-
-def _spanned_within(adj: dict[int, set[int]], nbrs: set[int],
-                    edges: set[Edge]) -> list[Edge] | None:
-    """The edges between pairs of ``nbrs``, in :func:`graph.spanned_edges`
-    order, or None at the first one outside ``edges``."""
-    nbrs = sorted(nbrs)
-    out = []
-    for i, u in enumerate(nbrs):
-        au = adj[u]
-        for w in nbrs[i + 1:]:
-            if w in au:
-                if (u, w) not in edges:
-                    return None
-                out.append((u, w))
-    return out
 
 
 def max_matching(span: dict[int, list[Edge]]) -> dict[int, Edge]:

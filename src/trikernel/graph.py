@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
@@ -322,13 +322,6 @@ class Variant(str, Enum):
     ETC = "etc"  # delete at most k edges to destroy all triangles
 
 
-def as_variant(value: object) -> Variant:
-    """``value`` as a :class:`Variant`: ``"etp"`` is ``Variant.ETP``, and
-    an unknown value raises ``ValueError``.  A ``Variant`` passes through
-    with no enum lookup."""
-    return value if type(value) is Variant else Variant(value)
-
-
 @dataclass
 class Instance:
     graph: Graph
@@ -337,8 +330,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         # every verdict test reads ``variant is Variant.ETP``; a plain string
-        # would hash like its member but read as ETC
-        self.variant = as_variant(self.variant)
+        # would hash like its member but read as ETC; an unknown value
+        # raises ValueError
+        self.variant = Variant(self.variant)
 
 
 # -- span queries ------------------------------------------------------------
@@ -346,14 +340,18 @@ class Instance:
 
 def spanned_edges(g: Graph, v: int) -> list[Edge]:
     """All edges spanned by ``v``, i.e. edges between pairs of its neighbors."""
+    return list(iter_spanned_edges(g, v))
+
+
+def iter_spanned_edges(g: Graph, v: int) -> Iterator[Edge]:
+    """The edges spanned by ``v`` in :func:`spanned_edges` order, one at a
+    time, so that a caller can stop at the first one it rejects."""
     nbrs = sorted(g.adj[v])
-    out = []
     for i, u in enumerate(nbrs):
         au = g.adj[u]
         for w in nbrs[i + 1:]:
             if w in au:
-                out.append((u, w))
-    return out
+                yield u, w
 
 
 def enumerate_triangles(g: Graph) -> list[Triangle]:

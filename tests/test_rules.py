@@ -5,7 +5,7 @@ import re
 import sys
 import threading
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -1511,6 +1511,65 @@ class TestTraceText:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert got == {i: [text] * rounds * 6 for i, text in enumerate(serial)}
+
+
+def _ints_written(value) -> int:
+    """How many ints the JSON value of ``value`` (an event or a part) holds."""
+    if isinstance(value, RuleEvent):
+        value = value.to_json()
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return sum(map(_ints_written, value))
+    return isinstance(value, int)
+
+
+class TestTraceTemplates:
+    """Only an event of at most ``_KEPT_INTS`` ints keeps its template, a
+    longer one is written the same, and a kept template is as small as the
+    ``trace_to_json`` docstring says."""
+
+    def _event(self, field: str, n: int) -> RuleEvent:
+        ids = iter(range(10**6, 10**6 + 3 * n))
+        lists = {
+            "removed_vertices": lambda: tuple(islice(ids, n)),
+            "removed_edges": lambda: tuple(zip(islice(ids, n), islice(ids, n))),
+            "head_edges": lambda: tuple(zip(islice(ids, n), islice(ids, n))),
+            "crown_witness": lambda: tuple((c, (c + 1, c + 2)) for c in islice(ids, n)),
+            "packing_added": lambda: tuple((c, c + 1, c + 2) for c in islice(ids, n)),
+            "split_part1": lambda: tuple(zip(islice(ids, n), islice(ids, n))),
+        }
+        extra = {"crown_witness": {"crown_vertices": (1,)},
+                 "head_edges": {"crown_vertices": (1,)},
+                 "split_part1": {"split_vertex": 5}}.get(field, {})
+        return RuleEvent("R9", k_delta=-3, **{field: lists[field]()}, **extra)
+
+    @pytest.mark.parametrize("field", ["removed_vertices", "removed_edges", "head_edges",
+                                       "crown_witness", "packing_added", "split_part1"])
+    def test_long_events_give_the_json_bytes_and_keep_no_template(self, field):
+        import trikernel.rules as rules_mod
+        for n in (1, 2, 15, 20, 21, 22, 31, 32, 33, 62, 63, 64, 65, 700):
+            ev = self._event(field, n)
+            rules_mod._event_template.cache_clear()
+            assert trace_to_json([ev]) == _reference_json([ev])
+            kept = rules_mod._event_template.cache_info().currsize
+            assert kept == (_ints_written(ev) <= rules_mod._KEPT_INTS), (field, n)
+
+    def test_a_kept_template_is_under_2_kb(self):
+        import trikernel.rules as rules_mod
+        full = ("R9", 0, 0, (0, 0, 0), 0, (0, 0, 0), (0, 0))
+        assert len(rules_mod._build_template(full)) <= 267
+        spare = rules_mod._KEPT_INTS - 1  # k_delta is one of the ints
+        for shape in (("R2", spare, 0, None, None, None, None),
+                      ("R2", 0, spare // 2, None, None, None, None),
+                      ("R4", 0, 0, (spare // 2, 0, 0), None, None, None),
+                      ("R9", 0, 0, None, None, (0, spare // 2, 0), None),
+                      ("R9", 0, 0, None, None, (0, 0, spare // 3), None),
+                      ("R6", 0, 0, None, None, None, (spare // 3, 0))):
+            template = rules_mod._build_template(shape)
+            ints = template.count("%d")
+            assert ints <= rules_mod._KEPT_INTS
+            assert len(template) <= 267 + 21 * (ints - 1) < 2048, shape
 
 
 class TestLiftSolution:
